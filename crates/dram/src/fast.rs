@@ -249,7 +249,8 @@ impl DisturbanceBackend for FastBackend {
         }
     }
 
-    /// Flips only ever appear in [`FastBackend::resolve_interval`].
+    /// Flips only ever appear when the refresh resolves the interval
+    /// (`FastBackend::resolve_interval`).
     fn defers_flips(&self) -> bool {
         true
     }

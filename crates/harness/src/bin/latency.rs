@@ -3,6 +3,10 @@
 //! ([`PerfCounters`]) for the same scale.
 //!
 //! Usage: `latency [quick|paper|full]` (default: paper).
+//!
+//! The latency table goes to stdout and is seeded, so
+//! `latency paper > results/latency.txt` is reproducible byte for byte.
+//! The throughput table is wall-clock data and goes to stderr.
 
 use rh_harness::experiments::latency;
 use rh_harness::{ExperimentScale, PerfCounters, RunConfig, Runner};
@@ -28,7 +32,7 @@ fn main() {
         .seed(1)
         .observer(perf.clone())
         .run(trace);
-    println!();
-    println!("Engine shard throughput (LoLiPRoMi, mixed trace)");
-    print!("{}", perf.render());
+    eprintln!();
+    eprintln!("Engine shard throughput (LoLiPRoMi, mixed trace)");
+    eprint!("{}", perf.render());
 }

@@ -31,35 +31,54 @@
 //! suspected aggressor for `act_n`, the victim for `RefreshRow`) is not,
 //! respectively adjacent to, an attacker-hammered row.
 //!
-//! Every entrypoint has an *observed* variant threading an
-//! [`Observer`]/[`Observe`] through the loop (see [`crate::observe`]);
-//! the unobserved functions are monomorphised over
-//! [`crate::observe::NullObserver`], whose empty inline callbacks
-//! compile away, so the no-observer path costs nothing.  The mitigation
-//! is a generic parameter: built as [`rh_baselines::AnyMitigation`]
-//! (see [`crate::techniques::build_any`]) the per-event inner loop is a
-//! `match`, not a vtable call — one dynamic-free dispatch per interval
-//! segment.
+//! The mitigation is a generic parameter: built as
+//! [`rh_baselines::AnyMitigation`] (see [`crate::techniques::build_any`])
+//! the per-event inner loop is a `match`, not a vtable call — one
+//! dynamic-free dispatch per interval segment.  The observer is generic
+//! too: monomorphised over [`crate::observe::NullObserver`], whose empty
+//! inline callbacks compile away, the unobserved loop costs nothing.
 //!
 //! The *device* side is equally generic: the loop drives any
-//! [`DisturbanceBackend`] (see [`dram_sim::backend`]), and the
-//! entrypoints pick the tier `config.backend` names exactly once before
-//! entering it — exact (the event-accurate [`DramDevice`], the
-//! default), fast (interval-level accumulation), or cycle (row-buffer
-//! and command-timing accounting in [`RunMetrics::cycle`]).  Because
+//! [`DisturbanceBackend`] (see [`dram_sim::backend`]), and
+//! [`run_observed`] picks the tier `config.backend` names exactly once
+//! before entering it — exact (the event-accurate
+//! [`DramDevice`](dram_sim::DramDevice), the default), fast
+//! (interval-level accumulation), or cycle (row-buffer and
+//! command-timing accounting in [`RunMetrics::cycle`]).  Because
 //! mitigations never read the device, the mitigation decision stream —
 //! triggers, false positives, first-trigger time — is identical on
 //! every tier; only flip-side metrics inherit the tier's fidelity.
-//! Prefer the [`crate::Runner`] builder over calling these functions
-//! directly.
+//!
+//! # Entrypoints
+//!
+//! [`crate::Runner`] is the documented way to drive a run of a
+//! technique a [`crate::TechniqueSpec`] names.  Four public functions
+//! remain for the callers it cannot serve:
+//!
+//! * [`run_observed`] — one whole run of any [`Mitigation`] (a test
+//!   double, a `Box<dyn Mitigation>`) on the backend `config.backend`
+//!   names, with an [`Observer`] (pass
+//!   [`crate::observe::NullObserver`] for none).  Never shards.
+//! * [`run_on_backend_observed`] — the loop itself, on a caller-built
+//!   backend: for callers that wrap or inspect the backend.
+//! * [`run_sharded`] — a bank-sharded run of a mitigation the caller's
+//!   closure builds once per shard (an unprotected baseline, a wide
+//!   adapter).
+//! * [`run_scalar`] — the one-event-at-a-time reference loop the
+//!   batched loop is pinned bit-identical against.
+//!
+//! `run_sharded` and every `Runner` method share one crate-private
+//! driver (`drive`): the only code that decides whether to shard by
+//! bank, forks one observer per shard, times shards and merges their
+//! metrics.
 
 use crate::config::RunConfig;
 use crate::metrics::{sort_flip_log, FlipRecord, RunMetrics};
 use crate::observe::{IntervalSnapshot, NullObserver, Observe, Observer, RunSummary, ShardInfo};
 use dram_sim::{
-    BackendSpec, BankId, Command, CycleBackend, DisturbanceBackend, DramDevice, FlipEvent, RowAddr,
+    BackendSpec, BankId, Command, CycleBackend, DisturbanceBackend, FlipEvent, RowAddr,
 };
-use mem_trace::{EventBatch, TraceEvent, TraceSource, TraceSplit};
+use mem_trace::{EventBatch, ShardError, TraceEvent, TraceSource, TraceSplit};
 use std::collections::BTreeSet;
 use std::time::Instant;
 use tivapromi::{ActionSink, Mitigation, MitigationAction};
@@ -131,6 +150,20 @@ struct TriggerLedger {
 }
 
 impl TriggerLedger {
+    /// An empty ledger with per-bank lanes for `banks` banks (lanes grow
+    /// on demand if a trace names a bank beyond that).
+    fn new(banks: usize) -> Self {
+        TriggerLedger {
+            trigger_events: 0,
+            false_positive_events: 0,
+            bank_acts: vec![0; banks],
+            bank_first: vec![None; banks],
+            flips_seen: 0,
+            bank_first_flip: vec![None; banks],
+            flip_log: Vec::new(),
+        }
+    }
+
     /// Walks the backend's flip log past the ledger's cursor, appends a
     /// [`FlipRecord`] per new flip, and records, per flipping bank, the
     /// bank-local activation count of its first flip.
@@ -232,35 +265,6 @@ pub fn run_observed<S: TraceSource, M: Mitigation + ?Sized, O: Observer + ?Sized
     }
 }
 
-/// Like [`run_observed`] without an observer, but on a caller-provided
-/// device (lets callers inspect device state afterwards).  Always runs
-/// the event-accurate model, regardless of `config.backend`.
-pub fn run_on_device<S: TraceSource, M: Mitigation + ?Sized>(
-    trace: &mut S,
-    mitigation: &mut M,
-    config: &RunConfig,
-    device: &mut DramDevice,
-) -> RunMetrics {
-    run_on_backend_observed(trace, mitigation, config, device, &mut NullObserver)
-}
-
-/// The batched engine loop on a caller-provided device — the exact-tier
-/// special case of [`run_on_backend_observed`].
-pub fn run_on_device_observed<S, M, O>(
-    trace: &mut S,
-    mitigation: &mut M,
-    config: &RunConfig,
-    device: &mut DramDevice,
-    observer: &mut O,
-) -> RunMetrics
-where
-    S: TraceSource,
-    M: Mitigation + ?Sized,
-    O: Observer + ?Sized,
-{
-    run_on_backend_observed(trace, mitigation, config, device, observer)
-}
-
 /// The full engine loop — batched, generic over the disturbance
 /// backend: caller-provided backend and observer.
 ///
@@ -293,17 +297,7 @@ where
     // loop; every segment drains it in place.
     let mut actions: Vec<MitigationAction> = Vec::new();
     let mut ledger = AggressorLedger::default();
-    let mut triggers = TriggerLedger {
-        trigger_events: 0,
-        false_positive_events: 0,
-        // lint: allow(D6) — per-run ledger lanes, sized once up front.
-        bank_acts: vec![0; banks],
-        bank_first: vec![None; banks],
-        flips_seen: 0,
-        // lint: allow(D6) — per-run ledger lanes, sized once up front.
-        bank_first_flip: vec![None; banks],
-        flip_log: Vec::new(),
-    };
+    let mut triggers = TriggerLedger::new(banks);
     let mut total_acts = 0u64;
     let mut aggressor_acts = 0u64;
     let max_intervals = config.intervals();
@@ -357,8 +351,7 @@ where
                         triggers.bank_acts[bank] +=
                             u64::try_from(run.len()).expect("run length fits u64");
                         let mut last = None;
-                        for (&row, &aggressor) in
-                            rows_col[run.clone()].iter().zip(&aggrs_col[run])
+                        for (&row, &aggressor) in rows_col[run.clone()].iter().zip(&aggrs_col[run])
                         {
                             if aggressor {
                                 aggressor_acts += 1;
@@ -441,82 +434,52 @@ where
 }
 
 /// The scalar reference loop: one event at a time, exactly the pre-batch
-/// engine.
+/// engine, on the backend tier `config.backend` selects.
 ///
 /// Kept public for two reasons: the equivalence tests prove the batched
-/// loop bit-identical against it at several batch sizes, and the
-/// throughput bench uses it as the baseline the batched pipeline is
-/// measured against.  Not otherwise called by the harness.
+/// loop bit-identical against it on every tier and at several batch
+/// sizes, and the throughput bench uses it as the baseline the batched
+/// pipeline is measured against.  Not otherwise called by the harness.
 pub fn run_scalar<S: TraceSource, M: Mitigation + ?Sized>(
-    trace: S,
-    mitigation: &mut M,
-    config: &RunConfig,
-) -> RunMetrics {
-    run_scalar_observed(trace, mitigation, config, &mut NullObserver)
-}
-
-/// [`run_scalar`] with an observer — the reference for observed runs.
-///
-/// Dispatches on `config.backend` exactly like [`run_observed`], so the
-/// scalar reference pins every tier, not just the exact one.
-pub fn run_scalar_observed<S, M, O>(
     mut trace: S,
     mitigation: &mut M,
     config: &RunConfig,
-    observer: &mut O,
-) -> RunMetrics
-where
-    S: TraceSource,
-    M: Mitigation + ?Sized,
-    O: Observer + ?Sized,
-{
+) -> RunMetrics {
     match config.backend {
         BackendSpec::Exact => {
             let mut device = config.build_device();
-            run_scalar_on_backend(&mut trace, mitigation, config, &mut device, observer)
+            run_scalar_on_backend(&mut trace, mitigation, config, &mut device)
         }
         BackendSpec::Fast => {
             let mut backend = config.build_fast_backend();
-            run_scalar_on_backend(&mut trace, mitigation, config, &mut backend, observer)
+            run_scalar_on_backend(&mut trace, mitigation, config, &mut backend)
         }
         BackendSpec::Cycle => {
             let mut backend = CycleBackend::new(config.build_device());
-            run_scalar_on_backend(&mut trace, mitigation, config, &mut backend, observer)
+            run_scalar_on_backend(&mut trace, mitigation, config, &mut backend)
         }
     }
 }
 
 /// The scalar loop body, generic over the backend tier.
-fn run_scalar_on_backend<S, M, B, O>(
+fn run_scalar_on_backend<S, M, B>(
     trace: &mut S,
     mitigation: &mut M,
     config: &RunConfig,
     backend: &mut B,
-    observer: &mut O,
 ) -> RunMetrics
 where
     S: TraceSource,
     M: Mitigation + ?Sized,
     B: DisturbanceBackend + ?Sized,
-    O: Observer + ?Sized,
 {
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut actions: Vec<MitigationAction> = Vec::new();
     let mut ledger = AggressorLedger::default();
-    let mut triggers = TriggerLedger {
-        trigger_events: 0,
-        false_positive_events: 0,
-        bank_acts: Vec::new(),
-        bank_first: Vec::new(),
-        flips_seen: 0,
-        bank_first_flip: Vec::new(),
-        flip_log: Vec::new(),
-    };
-    let mut total_acts = 0u64;
+    let mut triggers = TriggerLedger::new(config.geometry.banks() as usize);
     let mut aggressor_acts = 0u64;
-    let max_intervals = config.intervals();
 
-    for interval in 0..max_intervals {
+    for _ in 0..config.intervals() {
         events.clear();
         if !trace.next_interval(&mut events) {
             break;
@@ -528,7 +491,6 @@ where
                 triggers.bank_acts.resize(bank + 1, 0);
             }
             triggers.bank_acts[bank] += 1;
-            total_acts += 1;
             if event.aggressor {
                 aggressor_acts += 1;
             }
@@ -537,27 +499,29 @@ where
                 row: event.row,
             });
             triggers.note_flips(backend.flips());
-            observer.on_activation(event.bank, event.row, event.aggressor);
             mitigation.on_activate(event.bank, event.row, &mut actions);
             if !actions.is_empty() {
-                apply_actions(&mut actions, backend, &ledger, &mut triggers, observer);
+                apply_actions(
+                    &mut actions,
+                    backend,
+                    &ledger,
+                    &mut triggers,
+                    &mut NullObserver,
+                );
             }
         }
         backend.apply(Command::Refresh);
         triggers.note_flips(backend.flips());
         mitigation.on_refresh_interval(&mut actions);
         if !actions.is_empty() {
-            apply_actions(&mut actions, backend, &ledger, &mut triggers, observer);
+            apply_actions(
+                &mut actions,
+                backend,
+                &ledger,
+                &mut triggers,
+                &mut NullObserver,
+            );
         }
-        observer.on_interval_end(&IntervalSnapshot {
-            interval,
-            activations: total_acts,
-            triggers: triggers.trigger_events,
-            false_positives: triggers.false_positive_events,
-            stats: backend.stats(),
-            max_disturbance: backend.max_disturbance_seen(),
-            device: backend.device(),
-        });
     }
 
     finish_metrics(
@@ -566,7 +530,7 @@ where
         backend,
         triggers,
         aggressor_acts,
-        observer,
+        &mut NullObserver,
     )
 }
 
@@ -607,12 +571,11 @@ fn finish_metrics<M: Mitigation + ?Sized, B: DisturbanceBackend + ?Sized, O: Obs
 }
 
 /// Runs `trace` through the mitigation that `build` constructs, sharded
-/// by bank when `config.parallelism` allows it.
+/// by bank when `config.parallelism` allows it, with no observer.
 ///
-/// This is the unobserved sharded entrypoint ([`crate::Runner::run`]
-/// lands here when no observers are attached): the engine loop stays
-/// monomorphised over [`NullObserver`], so it is exactly as fast as an
-/// engine without observability hooks.
+/// For mitigations no [`crate::TechniqueSpec`] names (an unprotected
+/// baseline, a wide adapter); [`crate::Runner::run`] is the same run for
+/// those it does.
 ///
 /// With `shard_by_bank` (and more than one bank) each bank's sub-stream
 /// ([`TraceSplit::bank_shard`]) is driven through its *own* mitigation
@@ -624,7 +587,7 @@ fn finish_metrics<M: Mitigation + ?Sized, B: DisturbanceBackend + ?Sized, O: Obs
 /// the sequential run, for every worker count and schedule.
 ///
 /// `build` must construct the mitigation identically on every call
-/// (same technique, same seed); it is called once per bank shard, plus
+/// (same technique, same seed); it is called once per bank shard, or
 /// once for the sequential fallback.
 pub fn run_sharded<S, M, F>(trace: S, build: &F, config: &RunConfig) -> RunMetrics
 where
@@ -632,94 +595,119 @@ where
     M: Mitigation,
     F: Fn() -> M + Sync,
 {
-    let banks = config.geometry.banks();
-    if !config.parallelism.shard_by_bank || banks <= 1 {
-        let mut mitigation = build();
-        return run_observed(trace, &mut mitigation, config, &mut NullObserver);
-    }
-    let shards: Vec<Box<dyn TraceSplit>> =
-        (0..banks).map(|b| trace.bank_shard(BankId(b))).collect();
-    let workers = config.parallelism.effective_workers();
-    let results = crate::parallel::map_workers(shards, workers, |shard| {
-        let mut mitigation = build();
-        run_observed(shard, &mut mitigation, config, &mut NullObserver)
-    });
-    results
-        .into_iter()
-        .reduce(RunMetrics::merge)
-        .expect("geometry has at least one bank")
+    drive(trace, Split::ByBank(S::bank_shard), build, config, &[])
+        .expect("a splittable trace never refuses sharding")
 }
 
-/// Like [`run_sharded`], with an [`Observe`] strategy attached: one
-/// [`Observer`] is forked per bank shard (or one for the whole run on
-/// the sequential path), and shard/run completions are reported with
-/// wall-clock timings.
+/// How [`drive`] may split a run's trace.
+pub(crate) enum Split<S> {
+    /// Shard by bank with this splitter when the policy asks for it.
+    ByBank(fn(&S, BankId) -> Box<dyn TraceSplit>),
+    /// Run whole; when the policy asks for shards, the source must still
+    /// vouch ([`TraceSource::shard_support`]) that sharding would be
+    /// sound, so a policy mismatch surfaces as a typed error.
+    Checked,
+    /// Run whole, whatever the policy.
+    Whole,
+}
+
+/// The one sharded driver behind [`run_sharded`] and [`crate::Runner`]:
+/// decides whether to shard by bank, forks one observer per shard,
+/// times shards, and merges their metrics.
 ///
-/// Deterministic observers ([`crate::TimeSeriesRecorder`]) leave the
-/// merged [`RunMetrics`] bit-identical to the sequential run at every
-/// worker count; timing-based ones ([`crate::PerfCounters`]) keep their
-/// non-deterministic readings outside the metrics.
-pub fn run_with_observed<S, M, F>(
+/// # Errors
+///
+/// The source's [`ShardError`] when `split` is [`Split::Checked`], the
+/// policy asks for bank shards and the source cannot be split by bank.
+pub(crate) fn drive<S, M, F>(
     trace: S,
+    split: Split<S>,
     build: &F,
     config: &RunConfig,
-    observe: &dyn Observe,
-) -> RunMetrics
+    observe: &[Box<dyn Observe>],
+) -> Result<RunMetrics, ShardError>
 where
-    S: TraceSplit,
+    S: TraceSource,
     M: Mitigation,
     F: Fn() -> M + Sync,
 {
-    // lint: allow(D2) — wall times here feed only Observe callbacks
-    // (PerfCounters-style diagnostics), never RunMetrics.
+    // lint: allow(D2) — run wall time feeds only Observe::on_run_end,
+    // never RunMetrics.
     let start = Instant::now();
     let banks = config.geometry.banks();
-    let (metrics, workers, shard_count) = if !config.parallelism.shard_by_bank || banks <= 1 {
-        let shard = ShardInfo::whole_run();
-        observe.on_shard_start(&shard);
-        // lint: allow(D2) — shard wall time goes to Observe::on_shard_finish only.
-        let shard_start = Instant::now();
-        let mut observer = observe.observer(&shard);
-        let mut mitigation = build();
-        let metrics = run_observed(trace, &mut mitigation, config, observer.as_mut());
-        observe.on_shard_finish(&shard, &metrics, shard_start.elapsed());
-        (metrics, 1, 1)
-    } else {
-        let shards: Vec<(ShardInfo, Box<dyn TraceSplit>)> = (0..banks)
-            .map(|b| {
-                let info = ShardInfo {
-                    index: b as usize,
-                    count: banks as usize,
-                    bank: Some(BankId(b)),
-                };
-                (info, trace.bank_shard(BankId(b)))
-            })
-            .collect();
-        let workers = config.parallelism.effective_workers();
-        let results = crate::parallel::map_workers(shards, workers, |(info, shard)| {
-            observe.on_shard_start(&info);
-            // lint: allow(D2) — shard wall time goes to Observe::on_shard_finish only.
-            let shard_start = Instant::now();
-            let mut observer = observe.observer(&info);
-            let mut mitigation = build();
-            let metrics = run_observed(shard, &mut mitigation, config, observer.as_mut());
-            observe.on_shard_finish(&info, &metrics, shard_start.elapsed());
-            metrics
-        });
-        let merged = results
-            .into_iter()
-            .reduce(RunMetrics::merge)
-            .expect("geometry has at least one bank");
-        (merged, workers, banks as usize)
+    let shard_by_bank = config.parallelism.shard_by_bank && banks > 1;
+    let (metrics, workers, shards) = match split {
+        Split::ByBank(bank_shard) if shard_by_bank => {
+            let shards: Vec<(ShardInfo, Box<dyn TraceSplit>)> = (0..banks)
+                .map(|b| {
+                    let info = ShardInfo {
+                        index: b as usize,
+                        count: banks as usize,
+                        bank: Some(BankId(b)),
+                    };
+                    (info, bank_shard(&trace, BankId(b)))
+                })
+                .collect();
+            // Reported as the threads that ran: never more than shards.
+            let workers = config.parallelism.effective_workers().min(shards.len());
+            let results = crate::parallel::map_workers(shards, workers, |(info, shard)| {
+                run_shard(shard, &info, build, config, observe)
+            });
+            let merged = results
+                .into_iter()
+                .reduce(RunMetrics::merge)
+                .expect("geometry has at least one bank");
+            (merged, workers, banks as usize)
+        }
+        split => {
+            if shard_by_bank && matches!(split, Split::Checked) {
+                trace.shard_support()?;
+            }
+            let metrics = run_shard(trace, &ShardInfo::whole_run(), build, config, observe);
+            (metrics, 1, 1)
+        }
     };
     observe.on_run_end(
         &metrics,
         &RunSummary {
             workers,
-            shards: shard_count,
+            shards,
             elapsed: start.elapsed(),
         },
     );
+    Ok(metrics)
+}
+
+/// One shard of [`drive`]: builds the mitigation, runs the loop with the
+/// shard's observer (or [`NullObserver`] when none is attached), and
+/// reports the shard's wall time.
+fn run_shard<S, M, F>(
+    trace: S,
+    info: &ShardInfo,
+    build: &F,
+    config: &RunConfig,
+    observe: &[Box<dyn Observe>],
+) -> RunMetrics
+where
+    S: TraceSource,
+    M: Mitigation,
+    F: Fn() -> M,
+{
+    observe.on_shard_start(info);
+    // lint: allow(D2) — shard wall time goes to Observe::on_shard_finish only.
+    let start = Instant::now();
+    let mut mitigation = build();
+    let metrics = if observe.is_empty() {
+        run_observed(trace, &mut mitigation, config, &mut NullObserver)
+    } else {
+        run_observed(
+            trace,
+            &mut mitigation,
+            config,
+            observe.observer(info).as_mut(),
+        )
+    };
+    observe.on_shard_finish(info, &metrics, start.elapsed());
     metrics
 }
 
@@ -888,7 +876,9 @@ mod tests {
         let config = quick_config();
         let trace = scenario::paper_mix(&config, 3);
         let build = |seed: u64| move || techniques::build(Technique::Para, &quick_config(), seed);
-        let metrics = run_with_observed(trace, &build(3), &config, &TimeSeriesRecorder::new(64));
+        let recorder: Box<dyn Observe> = Box::new(TimeSeriesRecorder::new(64));
+        let metrics = drive(trace, Split::Whole, &build(3), &config, &[recorder])
+            .expect("whole runs never refuse");
         let series = metrics.timeseries.as_ref().expect("recorder attached");
         assert_eq!(series.stride, 64);
         let last = series.points.last().expect("nonempty run");

@@ -24,11 +24,16 @@
 //!   utilization of the parallel engine, rendered as a
 //!   [`crate::TextTable`].
 //!
-//! The no-observer path stays zero-cost: [`crate::engine::run_sharded`]
-//! monomorphises the engine loop over [`NullObserver`], whose empty
-//! inline callbacks compile away.  Observers only pay dynamic dispatch
-//! when one is actually attached (via [`crate::Runner::observer`] or
-//! [`crate::engine::run_with_observed`]).
+//! Observers attach in two ways.  A whole-run [`Observe`] strategy goes
+//! on a [`crate::Runner`] ([`crate::Runner::observer`]); every `Runner`
+//! method forks it per shard.  A single [`Observer`] goes straight into
+//! the loop through [`crate::engine::run_observed`] (or
+//! [`crate::engine::run_on_backend_observed`]), which never shards.
+//!
+//! The no-observer path stays zero-cost: with no strategy attached,
+//! `Runner` and [`crate::engine::run_sharded`] monomorphise the engine
+//! loop over [`NullObserver`], whose empty inline callbacks compile
+//! away.  Observers only pay dynamic dispatch when one is attached.
 
 use crate::metrics::{RunMetrics, TimePoint, TimeSeries};
 use crate::table::TextTable;
@@ -242,16 +247,6 @@ pub trait Observe: Send + Sync {
     /// The run finished; `merged` is the final merged result.
     fn on_run_end(&self, merged: &RunMetrics, summary: &RunSummary) {
         let _ = (merged, summary);
-    }
-}
-
-/// The no-op observation strategy (used by the deprecated-shim paths).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserve;
-
-impl Observe for NullObserve {
-    fn observer(&self, _shard: &ShardInfo) -> Box<dyn Observer> {
-        Box::new(NullObserver)
     }
 }
 
@@ -789,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_slice_fans_out_and_null_observe_is_empty() {
+    fn observe_slice_fans_out() {
         let list: Vec<Box<dyn Observe>> = vec![
             Box::new(TimeSeriesRecorder::new(8)),
             Box::new(PerfCounters::new()),
@@ -803,9 +798,6 @@ mod tests {
         assert!(m.timeseries.is_some());
         let empty: &[Box<dyn Observe>] = &[];
         let _ = empty.observer(&shard); // NullObserver; nothing to assert beyond no panic
-        assert!(
-            NullObserve.observer(&shard).as_mut() as *mut dyn Observer as *const () as usize != 0
-        );
     }
 
     #[test]

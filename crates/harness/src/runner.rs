@@ -1,10 +1,20 @@
 //! The [`Runner`] builder: the one documented way to drive a run.
 //!
-//! The engine module exposes the sharded entrypoints
-//! ([`engine::run_sharded`], [`engine::run_observed`]) for callers that
-//! build their own mitigation; `Runner` collapses the common path: pick
-//! a technique, a seed, a backend fidelity tier, a parallelism policy
-//! and any number of observers, then call [`Runner::run`].
+//! Pick a technique, a seed, a backend fidelity tier, a parallelism
+//! policy and any number of observers, then call one of three methods:
+//!
+//! * [`Runner::run`] — a [`TraceSplit`] trace, sharded by bank when the
+//!   policy allows it.  The common case.
+//! * [`Runner::run_source`] — a [`TraceSource`] that may not be
+//!   shardable; a sharded policy over a source that refuses sharding is
+//!   a typed [`ShardError`].
+//! * [`Runner::run_sequential`] — any [`TraceSource`], whole, whatever
+//!   the policy.
+//!
+//! All three are thin calls into the engine's one sharded driver.
+//! Callers whose mitigation no [`TechniqueSpec`] names use the engine's
+//! functions instead ([`engine::run_sharded`], [`engine::run_observed`];
+//! see the [`engine`] module docs).
 //!
 //! ```
 //! use rh_harness::{Runner, RunConfig, ExperimentScale, scenario, TimeSeriesRecorder};
@@ -22,22 +32,21 @@
 //! ```
 
 use crate::config::{Parallelism, RunConfig};
-use crate::engine;
+use crate::engine::{self, Split};
 use crate::metrics::RunMetrics;
-use crate::observe::{Observe, RunSummary, ShardInfo};
+use crate::observe::Observe;
 use crate::techniques::{self, TechniqueSpec};
 use dram_sim::BackendSpec;
 use mem_trace::{ShardError, TraceSource, TraceSplit};
 use rh_hwmodel::Technique;
-use std::time::Instant;
 
 /// Builder over the run engine: technique, seed, backend tier,
 /// parallelism and observers in one place.
 ///
-/// With no observers attached, [`Runner::run`] calls straight into the
-/// monomorphised no-observer engine ([`engine::run_sharded`]) — the
-/// builder adds nothing to the per-activation path.  Attaching an
-/// observer switches to the dynamically-dispatched observed loop.
+/// With no observers attached, every run method drives the engine loop
+/// monomorphised over [`crate::NullObserver`] — the builder adds nothing
+/// to the per-activation path.  Attaching an observer switches to the
+/// dynamically-dispatched observed loop.
 pub struct Runner {
     config: RunConfig,
     spec: TechniqueSpec,
@@ -118,15 +127,8 @@ impl Runner {
     /// Deterministic: the result is bit-identical for every worker
     /// count, with or without deterministic observers attached.
     pub fn run<S: TraceSplit>(&self, trace: S) -> RunMetrics {
-        // Static dispatch: the engine loop matches on [`AnyMitigation`]
-        // per interval segment instead of making per-event vtable calls.
-        let build = || techniques::build_any(self.spec, &self.config, self.seed);
-        if self.observers.is_empty() {
-            engine::run_sharded(trace, &build, &self.config)
-        } else {
-            let observe: &[Box<dyn Observe>] = &self.observers;
-            engine::run_with_observed(trace, &build, &self.config, &observe)
-        }
+        self.drive(trace, Split::ByBank(S::bank_shard))
+            .expect("a splittable trace never refuses sharding")
     }
 
     /// Drives a [`TraceSource`] that may or may not support bank
@@ -143,56 +145,32 @@ impl Runner {
     /// ([`Parallelism::sequential`], or a single-bank geometry) before
     /// calling.
     ///
+    /// A source that passes the check still runs whole: a bare
+    /// `TraceSource` offers no `bank_shard` (that is [`Runner::run`]),
+    /// and the determinism contract makes the whole run bit-identical
+    /// to the sharded one.
+    ///
     /// # Errors
     ///
     /// The source's [`ShardError`] when a sharded run was requested but
     /// the source cannot be split by bank.
     pub fn run_source<S: TraceSource>(&self, trace: S) -> Result<RunMetrics, ShardError> {
-        let sharding_requested =
-            self.config.parallelism.shard_by_bank && self.config.geometry.banks() > 1;
-        if sharding_requested {
-            trace.shard_support()?;
-            // The source says sharding would be sound, but a bare
-            // `TraceSource` offers no `bank_shard`; that is the
-            // `run::<TraceSplit>` path.  This entrypoint exists for
-            // sources that *cannot* shard, so a shardable source here
-            // still runs sequentially — which the contract guarantees
-            // is bit-identical to the sharded run.
-        }
-        Ok(self.run_sequential(trace))
+        self.drive(trace, Split::Checked)
     }
 
     /// Drives an unshardable trace ([`TraceSource`] only, e.g. one that
     /// is not `Send`) sequentially, still honouring observers: the
     /// whole run is reported as a single shard.
     pub fn run_sequential<S: TraceSource>(&self, trace: S) -> RunMetrics {
-        let mut mitigation = techniques::build_any(self.spec, &self.config, self.seed);
-        if self.observers.is_empty() {
-            return engine::run_observed(
-                trace,
-                &mut mitigation,
-                &self.config,
-                &mut crate::observe::NullObserver,
-            );
-        }
-        let observe: &[Box<dyn Observe>] = &self.observers;
-        // lint: allow(D2) — wall time feeds only Observe shard/run
-        // callbacks, never RunMetrics.
-        let start = Instant::now();
-        let shard = ShardInfo::whole_run();
-        observe.on_shard_start(&shard);
-        let mut observer = observe.observer(&shard);
-        let metrics = engine::run_observed(trace, &mut mitigation, &self.config, observer.as_mut());
-        observe.on_shard_finish(&shard, &metrics, start.elapsed());
-        observe.on_run_end(
-            &metrics,
-            &RunSummary {
-                workers: 1,
-                shards: 1,
-                elapsed: start.elapsed(),
-            },
-        );
-        metrics
+        self.drive(trace, Split::Whole)
+            .expect("a whole run never refuses sharding")
+    }
+
+    fn drive<S: TraceSource>(&self, trace: S, split: Split<S>) -> Result<RunMetrics, ShardError> {
+        // Static dispatch: the engine loop matches on [`AnyMitigation`]
+        // per interval segment instead of making per-event vtable calls.
+        let build = || techniques::build_any(self.spec, &self.config, self.seed);
+        engine::drive(trace, split, &build, &self.config, &self.observers)
     }
 }
 

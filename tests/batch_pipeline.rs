@@ -13,7 +13,7 @@
 //! alternates every event, so every [`mem_trace::EventBatch::bank_runs`]
 //! run degenerates to a single event (the lane kernels' worst case).
 
-use dram_sim::{BankId, Geometry, RowAddr};
+use dram_sim::{BackendSpec, BankId, Geometry, RowAddr};
 use proptest::prelude::*;
 use tivapromi_suite::harness::{engine, techniques, ExperimentScale, NullObserver, RunConfig};
 use tivapromi_suite::hwmodel::Technique;
@@ -62,27 +62,30 @@ fn mix(config: &RunConfig, seed: u64) -> MixedTrace {
 }
 
 /// Batched == scalar for all nine techniques on the paper mix, at every
-/// batch size.
+/// batch size, on every backend tier — so the fast tier's
+/// flip-deferring chunked replay is pinned to the per-event order too.
 #[test]
 fn batched_run_matches_scalar_reference_for_all_techniques() {
-    for technique in Technique::TABLE3 {
-        let base = config();
-        let mut scalar_mitigation = techniques::build_any(technique, &base, 11);
-        let scalar = engine::run_scalar(mix(&base, 11), &mut scalar_mitigation, &base);
-        assert!(scalar.workload_activations > 0);
-        for batch_events in BATCH_SIZES {
-            let batched_config = base.clone().with_batch_events(batch_events);
-            let mut mitigation = techniques::build_any(technique, &batched_config, 11);
-            let batched = engine::run_observed(
-                mix(&batched_config, 11),
-                &mut mitigation,
-                &batched_config,
-                &mut NullObserver,
-            );
-            assert_eq!(
-                scalar, batched,
-                "{technique:?} diverged at batch_events={batch_events}"
-            );
+    for backend in [BackendSpec::Exact, BackendSpec::Fast, BackendSpec::Cycle] {
+        for technique in Technique::TABLE3 {
+            let base = config().with_backend(backend);
+            let mut scalar_mitigation = techniques::build_any(technique, &base, 11);
+            let scalar = engine::run_scalar(mix(&base, 11), &mut scalar_mitigation, &base);
+            assert!(scalar.workload_activations > 0);
+            for batch_events in BATCH_SIZES {
+                let batched_config = base.clone().with_batch_events(batch_events);
+                let mut mitigation = techniques::build_any(technique, &batched_config, 11);
+                let batched = engine::run_observed(
+                    mix(&batched_config, 11),
+                    &mut mitigation,
+                    &batched_config,
+                    &mut NullObserver,
+                );
+                assert_eq!(
+                    scalar, batched,
+                    "{technique:?} diverged on the {backend} tier at batch_events={batch_events}"
+                );
+            }
         }
     }
 }

@@ -10,9 +10,10 @@
 
 use dram_sim::{CycleStats, Geometry, RowAddr};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 use tivapromi_suite::harness::{
-    engine, techniques, ExperimentScale, NullObserver, Parallelism, RunConfig, RunMetrics, Runner,
-    TimeSeriesRecorder,
+    engine, techniques, ExperimentScale, NullObserver, Observe, Observer, Parallelism,
+    PerfCounters, RunConfig, RunMetrics, RunSummary, Runner, ShardInfo, TimeSeriesRecorder,
 };
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::trace::{
@@ -155,7 +156,8 @@ fn timeseries_recorder_does_not_perturb_results() {
 /// With observers attached, sharded runs stay bit-identical to the
 /// sequential run — including the recorded time series, whose merge is
 /// associative over bank shards — at 1, 2 and `available_parallelism`
-/// workers.
+/// workers.  `Runner::run_sequential` and `Runner::run_source` under the
+/// same sharded policy run whole and must agree too.
 #[test]
 fn observed_sharded_runs_match_observed_sequential() {
     let seed = 5;
@@ -174,16 +176,83 @@ fn observed_sharded_runs_match_observed_sequential() {
             let parallel = base
                 .clone()
                 .with_parallelism(Parallelism::with_workers(workers));
+            let perf = PerfCounters::new();
             let sharded = Runner::new(parallel.clone())
                 .technique(technique)
                 .seed(seed)
                 .observer(TimeSeriesRecorder::new(32))
+                .observer(perf.clone())
                 .run(mix(&parallel, seed));
             assert_eq!(
                 sequential, sharded,
                 "{technique} observed run diverged at {workers} workers"
             );
+            let shard_banks: Vec<Option<u32>> = perf.shards().iter().map(|s| s.bank).collect();
+            assert_eq!(
+                shard_banks,
+                (0..BANKS).map(Some).collect::<Vec<_>>(),
+                "{technique}: one shard per bank at {workers} workers"
+            );
+            let whole = Runner::new(parallel.clone())
+                .technique(technique)
+                .seed(seed)
+                .observer(TimeSeriesRecorder::new(32));
+            assert_eq!(
+                sequential,
+                whole.run_sequential(mix(&parallel, seed)),
+                "{technique} run_sequential diverged at {workers} workers"
+            );
+            let source = whole
+                .run_source(mix(&parallel, seed))
+                .expect("a shardable source passes the policy check");
+            assert_eq!(
+                sequential, source,
+                "{technique} run_source diverged at {workers} workers"
+            );
         }
+    }
+}
+
+/// An [`Observe`] strategy that keeps the [`RunSummary`] of the last run.
+#[derive(Clone, Default)]
+struct SummaryCapture(Arc<Mutex<Option<RunSummary>>>);
+
+impl Observe for SummaryCapture {
+    fn observer(&self, _shard: &ShardInfo) -> Box<dyn Observer> {
+        Box::new(NullObserver)
+    }
+
+    fn on_run_end(&self, _merged: &RunMetrics, summary: &RunSummary) {
+        *self.0.lock().expect("summary lock") = Some(*summary);
+    }
+}
+
+/// `RunSummary::workers` is the number of threads that ran: a request
+/// for more workers than there are bank shards runs one per shard.
+#[test]
+fn run_summary_reports_the_workers_that_ran() {
+    let banks = BANKS as usize;
+    for (parallelism, workers, shards) in [
+        (Parallelism::with_workers(16), banks, banks),
+        (Parallelism::with_workers(2), 2, banks),
+        (Parallelism::sequential(), 1, 1),
+    ] {
+        let config = config().with_parallelism(parallelism);
+        let capture = SummaryCapture::default();
+        Runner::new(config.clone())
+            .technique(Technique::Para)
+            .observer(capture.clone())
+            .run(mix(&config, 1));
+        let summary = capture
+            .0
+            .lock()
+            .expect("summary lock")
+            .expect("the run reported its summary");
+        assert_eq!(
+            (summary.workers, summary.shards),
+            (workers, shards),
+            "{parallelism:?}"
+        );
     }
 }
 
