@@ -233,6 +233,61 @@ fn apply_actions<B: DisturbanceBackend + ?Sized, O: Observer + ?Sized>(
     }
 }
 
+/// Why a run was refused before it started.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The policy asks for bank shards and the source cannot be split
+    /// by bank.
+    Unshardable(ShardError),
+    /// The trace names a bank the configured geometry does not have.
+    BankOutOfRange {
+        /// The highest bank the trace names.
+        bank: BankId,
+        /// Banks in the configured geometry.
+        banks: u32,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Unshardable(err) => err.fmt(f),
+            RunError::BankOutOfRange { bank, banks } => write!(
+                f,
+                "trace names bank {} but the geometry has {banks} banks",
+                bank.0
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RunError::Unshardable(err) => Some(err),
+            RunError::BankOutOfRange { .. } => None,
+        }
+    }
+}
+
+impl From<ShardError> for RunError {
+    fn from(err: ShardError) -> Self {
+        RunError::Unshardable(err)
+    }
+}
+
+/// Rejects a trace that names a bank outside the configured geometry,
+/// before any of it runs: unchecked, the sequential loop would index
+/// past the device's banks and a sharded run would silently drop the
+/// events.
+fn check_banks<S: TraceSource + ?Sized>(trace: &S, config: &RunConfig) -> Result<(), RunError> {
+    let banks = config.geometry.banks();
+    match trace.max_bank() {
+        Some(bank) if bank.0 >= banks => Err(RunError::BankOutOfRange { bank, banks }),
+        _ => Ok(()),
+    }
+}
+
 /// Runs `trace` through `mitigation` with an [`Observer`] receiving
 /// callbacks from inside the loop, on the backend tier `config.backend`
 /// selects.
@@ -243,6 +298,11 @@ fn apply_actions<B: DisturbanceBackend + ?Sized, O: Observer + ?Sized>(
 /// exactly the historical device loop.  The observer type is also a
 /// generic parameter, so passing [`NullObserver`] monomorphises to the
 /// unobserved loop.
+///
+/// # Panics
+///
+/// Panics with [`RunError::BankOutOfRange`]'s message if the trace
+/// names a bank the geometry lacks.
 pub fn run_observed<S: TraceSource, M: Mitigation + ?Sized, O: Observer + ?Sized>(
     mut trace: S,
     mitigation: &mut M,
@@ -274,6 +334,11 @@ pub fn run_observed<S: TraceSource, M: Mitigation + ?Sized, O: Observer + ?Sized
 /// never read the device), so trigger/false-positive accounting is
 /// bit-identical across tiers — only the flip-side metrics inherit the
 /// backend's fidelity.
+///
+/// # Panics
+///
+/// Panics with [`RunError::BankOutOfRange`]'s message if the trace
+/// names a bank the geometry lacks.
 pub fn run_on_backend_observed<S, M, B, O>(
     trace: &mut S,
     mitigation: &mut M,
@@ -287,6 +352,9 @@ where
     B: DisturbanceBackend + ?Sized,
     O: Observer + ?Sized,
 {
+    if let Err(err) = check_banks(trace, config) {
+        panic!("{err}");
+    }
     let banks = config.geometry.banks() as usize;
     let mut batch = EventBatch::with_target_events(config.batch_events);
     // Generously preallocated arena: steady-state segments reuse the
@@ -440,11 +508,19 @@ where
 /// loop bit-identical against it on every tier and at several batch
 /// sizes, and the throughput bench uses it as the baseline the batched
 /// pipeline is measured against.  Not otherwise called by the harness.
+///
+/// # Panics
+///
+/// Panics with [`RunError::BankOutOfRange`]'s message if the trace
+/// names a bank the geometry lacks.
 pub fn run_scalar<S: TraceSource, M: Mitigation + ?Sized>(
     mut trace: S,
     mitigation: &mut M,
     config: &RunConfig,
 ) -> RunMetrics {
+    if let Err(err) = check_banks(&trace, config) {
+        panic!("{err}");
+    }
     match config.backend {
         BackendSpec::Exact => {
             let mut device = config.build_device();
@@ -589,6 +665,11 @@ fn finish_metrics<M: Mitigation + ?Sized, B: DisturbanceBackend + ?Sized, O: Obs
 /// `build` must construct the mitigation identically on every call
 /// (same technique, same seed); it is called once per bank shard, or
 /// once for the sequential fallback.
+///
+/// # Panics
+///
+/// Panics with [`RunError::BankOutOfRange`]'s message if the trace
+/// names a bank the geometry lacks.
 pub fn run_sharded<S, M, F>(trace: S, build: &F, config: &RunConfig) -> RunMetrics
 where
     S: TraceSplit,
@@ -596,7 +677,7 @@ where
     F: Fn() -> M + Sync,
 {
     drive(trace, Split::ByBank(S::bank_shard), build, config, &[])
-        .expect("a splittable trace never refuses sharding")
+        .unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// How [`drive`] may split a run's trace.
@@ -617,7 +698,9 @@ pub(crate) enum Split<S> {
 ///
 /// # Errors
 ///
-/// The source's [`ShardError`] when `split` is [`Split::Checked`], the
+/// [`RunError::BankOutOfRange`] when the trace names a bank the
+/// geometry lacks, checked before anything runs on either path; and
+/// [`RunError::Unshardable`] when `split` is [`Split::Checked`], the
 /// policy asks for bank shards and the source cannot be split by bank.
 pub(crate) fn drive<S, M, F>(
     trace: S,
@@ -625,12 +708,13 @@ pub(crate) fn drive<S, M, F>(
     build: &F,
     config: &RunConfig,
     observe: &[Box<dyn Observe>],
-) -> Result<RunMetrics, ShardError>
+) -> Result<RunMetrics, RunError>
 where
     S: TraceSource,
     M: Mitigation,
     F: Fn() -> M + Sync,
 {
+    check_banks(&trace, config)?;
     // lint: allow(D2) — run wall time feeds only Observe::on_run_end,
     // never RunMetrics.
     let start = Instant::now();

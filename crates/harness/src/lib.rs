@@ -59,7 +59,7 @@ pub mod techniques;
 
 pub use config::{ExperimentScale, Parallelism, RunConfig};
 pub use dram_sim::BackendSpec;
-pub use engine::run_sharded;
+pub use engine::{run_sharded, RunError};
 pub use metrics::{FlipRecord, MeanStd, RunMetrics, TimePoint, TimeSeries};
 pub use observe::{
     DisturbanceHistogram, IntervalSnapshot, NullObserver, Observe, Observer, PerfCounters,

@@ -6,8 +6,8 @@
 //! * [`Runner::run`] — a [`TraceSplit`] trace, sharded by bank when the
 //!   policy allows it.  The common case.
 //! * [`Runner::run_source`] — a [`TraceSource`] that may not be
-//!   shardable; a sharded policy over a source that refuses sharding is
-//!   a typed [`ShardError`].
+//!   shardable; a sharded policy over a source that refuses sharding, or
+//!   a trace naming a bank the geometry lacks, is a typed [`RunError`].
 //! * [`Runner::run_sequential`] — any [`TraceSource`], whole, whatever
 //!   the policy.
 //!
@@ -32,12 +32,12 @@
 //! ```
 
 use crate::config::{Parallelism, RunConfig};
-use crate::engine::{self, Split};
+use crate::engine::{self, RunError, Split};
 use crate::metrics::RunMetrics;
 use crate::observe::Observe;
 use crate::techniques::{self, TechniqueSpec};
 use dram_sim::BackendSpec;
-use mem_trace::{ShardError, TraceSource, TraceSplit};
+use mem_trace::{TraceSource, TraceSplit};
 use rh_hwmodel::Technique;
 
 /// Builder over the run engine: technique, seed, backend tier,
@@ -126,9 +126,14 @@ impl Runner {
     ///
     /// Deterministic: the result is bit-identical for every worker
     /// count, with or without deterministic observers attached.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`RunError::BankOutOfRange`]'s message if the trace
+    /// names a bank the geometry lacks.
     pub fn run<S: TraceSplit>(&self, trace: S) -> RunMetrics {
         self.drive(trace, Split::ByBank(S::bank_shard))
-            .expect("a splittable trace never refuses sharding")
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// Drives a [`TraceSource`] that may or may not support bank
@@ -139,9 +144,9 @@ impl Runner {
     /// [`TraceSource::shard_support`] refuses — for example
     /// [`mem_trace::CpuWorkload`], whose cores share one RNG and whose
     /// cache hierarchies span every bank — this returns the source's
-    /// [`ShardError`] instead of silently running a schedule-dependent
-    /// computation.  Callers that accept sequential execution for such
-    /// sources should request it explicitly
+    /// refusal ([`RunError::Unshardable`]) instead of silently running a
+    /// schedule-dependent computation.  Callers that accept sequential
+    /// execution for such sources should request it explicitly
     /// ([`Parallelism::sequential`], or a single-bank geometry) before
     /// calling.
     ///
@@ -152,21 +157,27 @@ impl Runner {
     ///
     /// # Errors
     ///
-    /// The source's [`ShardError`] when a sharded run was requested but
-    /// the source cannot be split by bank.
-    pub fn run_source<S: TraceSource>(&self, trace: S) -> Result<RunMetrics, ShardError> {
+    /// [`RunError::Unshardable`] when a sharded run was requested but
+    /// the source cannot be split by bank; [`RunError::BankOutOfRange`]
+    /// when the trace names a bank the geometry lacks.
+    pub fn run_source<S: TraceSource>(&self, trace: S) -> Result<RunMetrics, RunError> {
         self.drive(trace, Split::Checked)
     }
 
     /// Drives an unshardable trace ([`TraceSource`] only, e.g. one that
     /// is not `Send`) sequentially, still honouring observers: the
     /// whole run is reported as a single shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`RunError::BankOutOfRange`]'s message if the trace
+    /// names a bank the geometry lacks.
     pub fn run_sequential<S: TraceSource>(&self, trace: S) -> RunMetrics {
         self.drive(trace, Split::Whole)
-            .expect("a whole run never refuses sharding")
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
-    fn drive<S: TraceSource>(&self, trace: S, split: Split<S>) -> Result<RunMetrics, ShardError> {
+    fn drive<S: TraceSource>(&self, trace: S, split: Split<S>) -> Result<RunMetrics, RunError> {
         // Static dispatch: the engine loop matches on [`AnyMitigation`]
         // per interval segment instead of making per-event vtable calls.
         let build = || techniques::build_any(self.spec, &self.config, self.seed);
@@ -247,7 +258,10 @@ mod tests {
         let err = Runner::new(config)
             .run_source(cpu)
             .expect_err("sharded policy over an unshardable source must fail");
-        assert_eq!(err.source, "CpuWorkload");
+        let RunError::Unshardable(shard) = &err else {
+            panic!("expected an unshardable-source error, got {err:?}");
+        };
+        assert_eq!(shard.source, "CpuWorkload");
         assert!(err.to_string().contains("cannot be sharded by bank"));
     }
 

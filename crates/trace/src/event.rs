@@ -3,6 +3,7 @@
 use crate::batch::EventBatch;
 use dram_sim::{BankId, RowAddr};
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// One row activation in the trace.
 ///
@@ -110,6 +111,18 @@ pub trait TraceSource {
         Ok(())
     }
 
+    /// The highest bank any of this source's events may name, if the
+    /// source can tell without being consumed.
+    ///
+    /// Recorded traces know what they hold and report it, so a driver
+    /// can reject a trace that names a bank its device lacks before the
+    /// run starts.  Generators built from a geometry cannot overstep it
+    /// and keep the default `None` (unknown); composite sources report
+    /// the maximum over the parts that know.
+    fn max_bank(&self) -> Option<BankId> {
+        None
+    }
+
     /// The most intervals this source may deliver in one batch.
     ///
     /// Sources that *react* to what the consumer did with earlier
@@ -167,6 +180,10 @@ impl<S: TraceSource + ?Sized> TraceSource for &mut S {
         (**self).shard_support()
     }
 
+    fn max_bank(&self) -> Option<BankId> {
+        (**self).max_bank()
+    }
+
     fn max_batch_intervals(&self) -> u64 {
         (**self).max_batch_intervals()
     }
@@ -187,6 +204,10 @@ impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
 
     fn shard_support(&self) -> Result<(), ShardError> {
         (**self).shard_support()
+    }
+
+    fn max_bank(&self) -> Option<BankId> {
+        (**self).max_bank()
     }
 
     fn max_batch_intervals(&self) -> u64 {
@@ -288,6 +309,13 @@ impl TraceSplit for IdleTrace {
 
 /// A pre-recorded trace replayed interval by interval.
 ///
+/// The recording is immutable and shared: a `ReplayTrace` is a cursor
+/// (the next interval to deliver, and an optional bank filter) over one
+/// reference-counted list of intervals.  Cloning it and taking its bank
+/// shards are O(1) — N techniques replaying one recording, each split
+/// into per-bank shards, never copy the recording; each delivered event
+/// is copied once, into the caller's buffer.
+///
 /// ```
 /// use mem_trace::{ReplayTrace, TraceEvent, TraceSource};
 /// use dram_sim::{BankId, RowAddr};
@@ -306,8 +334,20 @@ impl TraceSplit for IdleTrace {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReplayTrace {
-    intervals: std::collections::VecDeque<Vec<TraceEvent>>,
-    total: u64,
+    recording: Arc<Recording>,
+    /// Index of the next interval to deliver.
+    next: usize,
+    /// When set, only this bank's events are delivered (a bank shard).
+    bank: Option<BankId>,
+}
+
+/// The shared, immutable body of a [`ReplayTrace`].
+#[derive(Debug, Default)]
+struct Recording {
+    intervals: Vec<Vec<TraceEvent>>,
+    /// The highest bank any event names, found on first request so that
+    /// construction only moves the intervals in.
+    max_bank: OnceLock<Option<BankId>>,
 }
 
 impl ReplayTrace {
@@ -316,17 +356,34 @@ impl ReplayTrace {
     where
         I: IntoIterator<Item = Vec<TraceEvent>>,
     {
-        let intervals: std::collections::VecDeque<_> = intervals.into_iter().collect();
-        let total = intervals.len() as u64;
-        ReplayTrace { intervals, total }
+        ReplayTrace {
+            recording: Arc::new(Recording {
+                intervals: intervals.into_iter().collect(),
+                max_bank: OnceLock::new(),
+            }),
+            next: 0,
+            bank: None,
+        }
+    }
+
+    /// The next recorded interval, before the bank filter; `None` once
+    /// the recording is exhausted.
+    fn advance(&mut self) -> Option<&[TraceEvent]> {
+        let events = self.recording.intervals.get(self.next)?;
+        self.next += 1;
+        Some(events)
     }
 }
 
 impl TraceSource for ReplayTrace {
     fn next_interval(&mut self, out: &mut Vec<TraceEvent>) -> bool {
-        match self.intervals.pop_front() {
-            Some(batch) => {
-                out.extend(batch);
+        let bank = self.bank;
+        match self.advance() {
+            Some(events) => {
+                match bank {
+                    None => out.extend_from_slice(events),
+                    Some(bank) => out.extend(events.iter().filter(|e| e.bank == bank)),
+                }
                 true
             }
             None => false,
@@ -334,23 +391,45 @@ impl TraceSource for ReplayTrace {
     }
 
     fn intervals_hint(&self) -> Option<u64> {
-        Some(self.total)
+        Some(self.recording.intervals.len() as u64)
+    }
+
+    fn max_bank(&self) -> Option<BankId> {
+        if self.bank.is_some() {
+            // A shard only ever delivers its own bank.
+            return self.bank;
+        }
+        *self.recording.max_bank.get_or_init(|| {
+            self.recording
+                .intervals
+                .iter()
+                .flatten()
+                .map(|e| e.bank)
+                .max()
+        })
     }
 
     fn next_batch(&mut self, batch: &mut EventBatch, max_intervals: u64) -> bool {
-        // Recorded intervals go straight into the SoA buffer, skipping
+        // Recorded intervals go straight into the SoA columns, skipping
         // the shim's staging copy.
         batch.clear();
         let cap = max_intervals.min(batch.target_events() as u64);
+        let bank = self.bank;
         let mut delivered = 0u64;
         while delivered < cap && !batch.is_full() {
-            match self.intervals.pop_front() {
-                Some(events) => {
-                    batch.push_interval(&events);
-                    delivered += 1;
+            let Some(events) = self.advance() else {
+                break;
+            };
+            match bank {
+                None => batch.push_interval(events),
+                Some(bank) => {
+                    for e in events.iter().filter(|e| e.bank == bank) {
+                        batch.push_event(e.bank, e.row, e.aggressor);
+                    }
+                    batch.end_interval();
                 }
-                None => break,
             }
+            delivered += 1;
         }
         delivered > 0
     }
@@ -358,13 +437,17 @@ impl TraceSource for ReplayTrace {
 
 impl TraceSplit for ReplayTrace {
     fn bank_shard(&self, bank: BankId) -> Box<dyn TraceSplit> {
-        Box::new(ReplayTrace::new(self.intervals.iter().map(|batch| {
-            batch
-                .iter()
-                .filter(|e| e.bank == bank)
-                .copied()
-                .collect::<Vec<_>>()
-        })))
+        match self.bank {
+            // Already another bank's shard: nothing of `bank` is left.
+            Some(own) if own != bank => Box::new(IdleTrace::new(
+                (self.recording.intervals.len() - self.next) as u64,
+            )),
+            _ => Box::new(ReplayTrace {
+                recording: Arc::clone(&self.recording),
+                next: self.next,
+                bank: Some(bank),
+            }),
+        }
     }
 }
 

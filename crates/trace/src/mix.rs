@@ -3,7 +3,6 @@
 use crate::batch::EventBatch;
 use crate::event::{TraceEvent, TraceSource, TraceSplit};
 use dram_sim::BankId;
-use std::collections::BTreeMap;
 
 /// Interleaves any number of trace sources, enforcing the per-bank
 /// per-interval activation cap of the DRAM timing.
@@ -36,11 +35,9 @@ pub struct MixedTrace {
     sources: Vec<Box<dyn TraceSplit>>,
     max_acts_per_bank_interval: u32,
     buffers: Vec<Vec<TraceEvent>>,
-    /// Persistent per-bank, per-source merge lanes reused by the
-    /// batched delivery path ([`MixedTrace::next_batch`]), indexed by
-    /// bank id.  `next_interval` deliberately keeps its original
-    /// allocate-per-interval merge: it is the pre-batch reference the
-    /// throughput bench compares against.
+    /// Persistent per-bank, per-source merge lanes, indexed by bank id
+    /// then source, reused by every interval of both delivery paths so
+    /// the steady-state merge allocates nothing.
     lanes: Vec<Vec<Vec<TraceEvent>>>,
     /// Events dropped so far by the bandwidth cap (diagnostic).
     dropped: u64,
@@ -83,28 +80,25 @@ impl MixedTrace {
         self.dropped
     }
 
-    /// Merges one interval of all sources directly into `batch` and
-    /// closes its boundary — the same bank-major round-robin merge as
-    /// [`MixedTrace::next_interval`] (bit-identical event order and cap
-    /// drops), but through persistent lane buffers and the batch's SoA
-    /// columns, so the steady state allocates nothing.
-    fn merge_interval_into(&mut self, batch: &mut EventBatch) -> bool {
+    /// Merges one interval of all sources, handing each kept event to
+    /// `emit` in merged order; returns `false` once every source is
+    /// exhausted.  The one merge behind both [`TraceSource::next_interval`]
+    /// and [`TraceSource::next_batch`].
+    fn merge_interval(&mut self, mut emit: impl FnMut(TraceEvent)) -> bool {
         let mut any = false;
         for (source, buffer) in self.sources.iter_mut().zip(&mut self.buffers) {
             buffer.clear();
-            if source.next_interval(buffer) {
-                any = true;
-            }
+            any |= source.next_interval(buffer);
         }
         if !any {
             return false;
         }
 
+        // Split each source's interval by bank, preserving per-source
+        // order.
         let source_count = self.buffers.len();
-        for bank_lanes in &mut self.lanes {
-            for lane in bank_lanes.iter_mut() {
-                lane.clear();
-            }
+        for lane in self.lanes.iter_mut().flatten() {
+            lane.clear();
         }
         for (index, buffer) in self.buffers.iter().enumerate() {
             for &event in buffer {
@@ -116,94 +110,36 @@ impl MixedTrace {
                 self.lanes[bank][index].push(event);
             }
         }
-        // Lane indices ascend by bank id, matching the BTreeMap's
-        // ascending-key iteration; banks with no traffic this interval
-        // contribute nothing.
+        // Bank-major emission in ascending bank id: per bank, round-robin
+        // across the sources under the cap.  Nothing outside a bank's own
+        // lanes influences what is kept or dropped for it.  Each round
+        // takes one event from every lane that still has one, so round
+        // `k` is every lane's `k`-th event.
+        let cap = self.max_acts_per_bank_interval as usize;
         for bank_lanes in &self.lanes {
-            let mut used = 0u32;
-            let mut cursors = [0usize; 8];
-            let mut cursors_spill;
-            let cursors: &mut [usize] = if source_count <= cursors.len() {
-                &mut cursors[..source_count]
-            } else {
-                cursors_spill = vec![0usize; source_count];
-                &mut cursors_spill
-            };
-            loop {
-                let mut progressed = false;
-                for (lane, cursor) in bank_lanes.iter().zip(cursors.iter_mut()) {
-                    if *cursor < lane.len() {
-                        let event = lane[*cursor];
-                        *cursor += 1;
-                        progressed = true;
-                        if used < self.max_acts_per_bank_interval {
-                            used += 1;
-                            batch.push_event(event.bank, event.row, event.aggressor);
-                        } else {
-                            self.dropped += 1;
-                        }
+            let total: usize = bank_lanes.iter().map(Vec::len).sum();
+            let keep = total.min(cap);
+            self.dropped += (total - keep) as u64;
+            let mut kept = 0;
+            'rounds: for k in 0.. {
+                for lane in bank_lanes {
+                    if kept == keep {
+                        break 'rounds;
                     }
-                }
-                if !progressed {
-                    break;
+                    if let Some(&event) = lane.get(k) {
+                        emit(event);
+                        kept += 1;
+                    }
                 }
             }
         }
-        batch.end_interval();
         true
     }
 }
 
 impl TraceSource for MixedTrace {
     fn next_interval(&mut self, out: &mut Vec<TraceEvent>) -> bool {
-        let mut any = false;
-        for (source, buffer) in self.sources.iter_mut().zip(&mut self.buffers) {
-            buffer.clear();
-            if source.next_interval(buffer) {
-                any = true;
-            }
-        }
-        if !any {
-            return false;
-        }
-
-        // Split each source's batch by bank, preserving per-source order.
-        let mut lanes: BTreeMap<BankId, Vec<Vec<TraceEvent>>> = BTreeMap::new();
-        for (index, buffer) in self.buffers.iter().enumerate() {
-            for &event in buffer {
-                lanes
-                    .entry(event.bank)
-                    .or_insert_with(|| vec![Vec::new(); self.buffers.len()])[index]
-                    .push(event);
-            }
-        }
-        // Bank-major emission: per bank, round-robin across the sources
-        // under the cap.  Nothing outside a bank's own lanes influences
-        // what is kept or dropped for it.
-        for lanes in lanes.into_values() {
-            let mut used = 0u32;
-            let mut cursors = vec![0usize; lanes.len()];
-            loop {
-                let mut progressed = false;
-                for (lane, cursor) in lanes.iter().zip(&mut cursors) {
-                    if *cursor < lane.len() {
-                        let event = lane[*cursor];
-                        *cursor += 1;
-                        progressed = true;
-                        if used < self.max_acts_per_bank_interval {
-                            used += 1;
-                            out.push(event);
-                        } else {
-                            self.dropped += 1;
-                        }
-                    }
-                }
-                if !progressed {
-                    break;
-                }
-            }
-        }
-        true
+        self.merge_interval(|event| out.push(event))
     }
 
     fn intervals_hint(&self) -> Option<u64> {
@@ -212,6 +148,10 @@ impl TraceSource for MixedTrace {
             .map(|s| s.intervals_hint())
             .collect::<Option<Vec<_>>>()
             .map(|hints| hints.into_iter().max().unwrap_or(0))
+    }
+
+    fn max_bank(&self) -> Option<BankId> {
+        self.sources.iter().filter_map(|s| s.max_bank()).max()
     }
 
     fn max_batch_intervals(&self) -> u64 {
@@ -226,18 +166,18 @@ impl TraceSource for MixedTrace {
 
     fn next_batch(&mut self, batch: &mut EventBatch, max_intervals: u64) -> bool {
         // Native batched delivery: merge each interval straight into
-        // the batch's SoA columns through persistent lane buffers,
-        // skipping both the per-interval lane allocations and the
-        // AoS staging copy the default shim would pay.
+        // the batch's SoA columns, skipping the AoS staging copy the
+        // default shim would pay.
         batch.clear();
         let cap = max_intervals
             .min(self.max_batch_intervals())
             .min(batch.target_events() as u64);
         let mut delivered = 0u64;
         while delivered < cap && !batch.is_full() {
-            if !self.merge_interval_into(batch) {
+            if !self.merge_interval(|e| batch.push_event(e.bank, e.row, e.aggressor)) {
                 break;
             }
+            batch.end_interval();
             delivered += 1;
         }
         delivered > 0

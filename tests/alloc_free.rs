@@ -19,60 +19,66 @@
 //! the kernels, the interval turnover — from backend bookkeeping
 //! (flip logs grow with device state, which is workload physics, not
 //! kernel overhead).
+//!
+//! The trace side carries the same contract.  A recorded `ReplayTrace`
+//! is shared, not copied: cloning it and taking every bank shard costs
+//! a fixed number of allocations whatever the recording's length, a
+//! shard drains into a warm `EventBatch` without allocating, and a warm
+//! `MixedTrace` merges intervals without allocating.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use dram_sim::{BankId, Geometry, RowAddr};
 use tivapromi_suite::harness::{techniques, ExperimentScale, RunConfig};
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::tivapromi::{ActionSink, Mitigation};
-use tivapromi_suite::trace::{EventBatch, TraceEvent};
+use tivapromi_suite::trace::{
+    EventBatch, MixedTrace, ReplayTrace, TraceEvent, TraceSource, TraceSplit,
+};
 
 /// Counts every allocation and reallocation made by the measuring
 /// thread; frees are not counted — the contract is "no heap traffic",
 /// and a free implies a matching earlier allocation anyway.
 ///
 /// Counting is gated on a thread-local flag armed only around the
-/// measured window: the libtest harness runs helper threads in the
+/// measured window, and the count itself is thread-local: the libtest
+/// harness runs helper threads and the other tests of this file in the
 /// same process, and an unrelated allocation from one of them landing
-/// inside the window must not fail the kernel contract.  The flag is
-/// `const`-initialized so reading it never allocates, and `try_with`
+/// inside the window must not fail the contract.  Both cells are
+/// `const`-initialized so reading them never allocates, and `try_with`
 /// falls back to not counting during TLS teardown.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    static COUNTING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_this_thread() {
-    if COUNTING.try_with(|flag| flag.get()).unwrap_or(false) {
-        // lint: allow(D4) — monotone count read by the same thread that
-        // bumps it; Relaxed suffices.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
     }
 }
 
 // lint: allow(D4) — GlobalAlloc is an unsafe trait; the impl forwards
 // every call to System verbatim and only bumps a counter.
 unsafe impl GlobalAlloc for CountingAllocator {
-    // lint: allow(D4) — unsafe-trait method; Relaxed suffices for a monotone count.
+    // lint: allow(D4) — unsafe-trait method; only bumps a thread-local count.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_this_thread();
         // lint: allow(D4) — verbatim System forwarding per the trait contract.
         unsafe { System.alloc(layout) }
     }
 
-    // lint: allow(D4) — unsafe-trait method; Relaxed suffices for a monotone count.
+    // lint: allow(D4) — unsafe-trait method; only bumps a thread-local count.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_this_thread();
         // lint: allow(D4) — verbatim System forwarding per the trait contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
-    // lint: allow(D4) — unsafe-trait method; Relaxed suffices for a monotone count.
+    // lint: allow(D4) — unsafe-trait method; only bumps a thread-local count.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_this_thread();
         // lint: allow(D4) — verbatim System forwarding per the trait contract.
@@ -89,6 +95,17 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const BANKS: u32 = 4;
+
+/// Runs `f` with allocation counting armed on this thread only, so
+/// concurrent harness threads cannot pollute the reading; returns `f`'s
+/// result and the allocations it made.
+fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    COUNTING.with(|flag| flag.set(true));
+    let result = f();
+    COUNTING.with(|flag| flag.set(false));
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
 
 fn config() -> RunConfig {
     let mut config = RunConfig::paper(&ExperimentScale {
@@ -160,27 +177,87 @@ fn steady_state_batches_never_allocate() {
         }
 
         // Measurement: one further window — including its wrap — must
-        // be allocation-free.  Counting is armed only on this thread
-        // and only for the window, so concurrent harness threads
-        // cannot pollute the reading.
-        COUNTING.with(|flag| flag.set(true));
-        // lint: allow(D4) — single-threaded test; Relaxed reads of a monotone counter.
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for _ in 0..intervals_per_window {
-            drive_interval(&mut mitigation, &mut sink, &mut triggers);
-        }
-        // lint: allow(D4) — single-threaded test; Relaxed reads of a monotone counter.
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-        COUNTING.with(|flag| flag.set(false));
+        // be allocation-free.
+        let ((), allocations) = counting(|| {
+            for _ in 0..intervals_per_window {
+                drive_interval(&mut mitigation, &mut sink, &mut triggers);
+            }
+        });
         assert_eq!(
-            after - before,
-            0,
-            "{technique:?} allocated {} times in a steady-state window",
-            after - before
+            allocations, 0,
+            "{technique:?} allocated {allocations} times in a steady-state window"
         );
         total_triggers += triggers;
     }
     // The contract must be proven on exercised trigger paths, not on
     // techniques idling through empty decision loops.
     assert!(total_triggers > 0, "no trigger path was exercised");
+}
+
+/// A recording of `intervals` copies of the test interval.
+fn recording(intervals: usize) -> ReplayTrace {
+    ReplayTrace::new(vec![interval_events(); intervals])
+}
+
+/// Cloning a recording and taking every bank shard shares the recording:
+/// the allocation count does not grow with its length.
+#[test]
+fn replay_clones_and_shards_do_not_copy_the_recording() {
+    let clone_and_shard = |trace: &ReplayTrace| {
+        counting(|| {
+            let clone = trace.clone();
+            (0..BANKS)
+                .map(|bank| clone.bank_shard(BankId(bank)))
+                .collect::<Vec<_>>()
+        })
+        .1
+    };
+    let short = clone_and_shard(&recording(1 << 10));
+    let long = clone_and_shard(&recording(1 << 16));
+    assert_eq!(short, long, "shard set-up grew with the recording");
+}
+
+/// A bank shard drains into a warm batch, and a warm mix merges
+/// intervals, without touching the heap.
+#[test]
+fn warm_replay_and_mix_delivery_never_allocate() {
+    let trace = recording(256);
+    let mut batch = EventBatch::new();
+    for bank in 0..BANKS {
+        let drain = |mut shard: Box<dyn TraceSplit>, batch: &mut EventBatch| {
+            let mut events = 0;
+            while shard.next_batch(batch, u64::MAX) {
+                events += batch.len();
+            }
+            events
+        };
+        let warm = drain(trace.bank_shard(BankId(bank)), &mut batch);
+        let shard = trace.bank_shard(BankId(bank));
+        let (events, allocations) = counting(|| drain(shard, &mut batch));
+        assert_eq!(events, warm);
+        assert!(events > 0, "bank {bank} delivered nothing");
+        assert_eq!(allocations, 0, "bank {bank} shard drain allocated");
+    }
+
+    // Two recorded sources overrunning the cap, so the merge also drops.
+    let sources: Vec<Box<dyn TraceSplit>> = vec![Box::new(trace.clone()), Box::new(trace)];
+    let mut mix = MixedTrace::new(sources, 30);
+    let mut out = Vec::new();
+    for _ in 0..8 {
+        out.clear();
+        assert!(mix.next_interval(&mut out));
+    }
+    let (delivered, allocations) = counting(|| {
+        let mut delivered = 0;
+        loop {
+            out.clear();
+            if !mix.next_interval(&mut out) {
+                return delivered;
+            }
+            delivered += 1;
+        }
+    });
+    assert_eq!(delivered, 248);
+    assert!(mix.dropped() > 0, "the cap never bound");
+    assert_eq!(allocations, 0, "warm MixedTrace::next_interval allocated");
 }
