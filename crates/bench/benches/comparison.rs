@@ -1,7 +1,7 @@
 //! Table III regenerator + area-model benchmark.
 //!
 //! The printed table uses a reduced simulation scale; run
-//! `cargo run --release --bin table3_comparison -- paper` for the
+//! `cargo run --release --bin rh -- table3 paper` for the
 //! evaluation scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -1,7 +1,7 @@
 //! Fig. 4 regenerator + full-engine run benchmarks.
 //!
 //! The printed series uses 2 windows × 1 bank × 2 seeds; run
-//! `cargo run --release --bin fig4_tradeoff -- paper` (or `full`) for
+//! `cargo run --release --bin rh -- fig4 paper` (or `full`) for
 //! the evaluation scale.
 
 use criterion::{criterion_group, criterion_main, Criterion};

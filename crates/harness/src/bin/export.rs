@@ -2,7 +2,7 @@
 //! (Fig. 4 scatter, flooding points, latency table).
 //!
 //! Usage: `export [quick|paper|full] [output-dir]` (defaults: paper,
-//! `./results`).
+//! `./results`).  An unknown scale exits with status 2.
 
 use rh_harness::experiments::{fig4, flooding, latency};
 use rh_harness::{report, ExperimentScale};
@@ -10,10 +10,10 @@ use std::fs::File;
 use std::path::PathBuf;
 
 fn main() -> std::io::Result<()> {
-    let scale = std::env::args()
-        .nth(1)
-        .and_then(|s| ExperimentScale::from_name(&s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = ExperimentScale::from_arg(std::env::args().nth(1).as_deref()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     let dir = PathBuf::from(std::env::args().nth(2).unwrap_or_else(|| "results".into()));
     std::fs::create_dir_all(&dir)?;
 

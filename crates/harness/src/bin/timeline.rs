@@ -5,7 +5,8 @@
 //!
 //! Usage: `timeline [quick|paper|full] [technique] [stride] [output-dir]
 //! [--attack <name>] [--backend <tier>]` (defaults: paper, LoLiPRoMi,
-//! 64, `./results`, the paper's ramping attack, and the exact backend).
+//! 64, `./results`, the paper's ramping attack, and the exact backend);
+//! an unknown scale exits with status 2.
 //! `--attack` selects any attack pattern from the scenario catalog
 //! (`ramp`, `flooding`, `double-sided`, `decoy`, `shifted-ramp`,
 //! `burst`), mixed with the benign workload.  `--backend` selects the
@@ -76,10 +77,13 @@ fn main() -> ExitCode {
             args.push(arg);
         }
     }
-    let scale = args
-        .first()
-        .and_then(|s| ExperimentScale::from_name(s))
-        .unwrap_or_else(ExperimentScale::paper_shape);
+    let scale = match ExperimentScale::from_arg(args.first().map(String::as_str)) {
+        Ok(scale) => scale,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let technique = match args.get(1) {
         Some(name) => match parse_technique(name) {
             Some(t) => t,

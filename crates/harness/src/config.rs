@@ -61,6 +61,17 @@ impl ExperimentScale {
             _ => None,
         }
     }
+
+    /// Parses the experiment binaries' optional scale argument: a missing
+    /// argument means `paper`, and an unrecognized one is an error that
+    /// names the valid choices.
+    pub fn from_arg(arg: Option<&str>) -> Result<Self, String> {
+        match arg {
+            None => Ok(ExperimentScale::paper_shape()),
+            Some(name) => ExperimentScale::from_name(name)
+                .ok_or_else(|| format!("unknown scale `{name}`; expected quick, paper or full")),
+        }
+    }
 }
 
 impl Default for ExperimentScale {
@@ -346,6 +357,15 @@ mod tests {
             Some(ExperimentScale::full())
         );
         assert_eq!(ExperimentScale::from_name("bogus"), None);
+        assert_eq!(
+            ExperimentScale::from_arg(None),
+            Ok(ExperimentScale::paper_shape())
+        );
+        let err = ExperimentScale::from_arg(Some("ful")).expect_err("typo rejected");
+        assert!(
+            err.contains("`ful`") && err.contains("quick, paper or full"),
+            "{err}"
+        );
     }
 
     #[test]

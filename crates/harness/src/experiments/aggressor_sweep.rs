@@ -137,6 +137,14 @@ pub fn render(results: &[SweepResult]) -> String {
     table.render()
 }
 
+/// The `rh aggressor-sweep` report: the sweep table under a title.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Aggressor-count sweep — fixed k aggressors per bank, mixed workload\n\n{}",
+        render(&run(scale))
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

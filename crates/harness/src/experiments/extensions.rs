@@ -118,6 +118,11 @@ pub fn render(points: &[Fig4Point], validation: &[CacheValidationResult]) -> Str
     out
 }
 
+/// The `rh extensions` report: both parts of [`render`].
+pub fn report(scale: &ExperimentScale) -> String {
+    render(&extension_points(scale), &cache_validation(scale))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

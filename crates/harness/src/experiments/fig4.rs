@@ -14,6 +14,7 @@ use crate::runner::Runner;
 use crate::table::TextTable;
 use crate::{parallel, scenario};
 use rh_hwmodel::Technique;
+use std::fmt::Write as _;
 
 /// One point of Fig. 4.
 #[derive(Debug, Clone)]
@@ -146,6 +147,19 @@ pub fn shape_checks(points: &[Fig4Point]) -> Vec<(String, bool)> {
     ));
 
     checks
+}
+
+/// The `rh fig4` report: the Fig. 4 series and its shape checks.
+pub fn report(scale: &ExperimentScale) -> String {
+    let points = run(scale);
+    let mut out = format!(
+        "Fig. 4 — table size vs. activation overhead (log-log in the paper)\n\n{}\nshape checks:\n",
+        render(&points)
+    );
+    for (desc, ok) in shape_checks(&points) {
+        let _ = writeln!(out, "  [{}] {desc}", if ok { "ok" } else { "MISS" });
+    }
+    out
 }
 
 #[cfg(test)]

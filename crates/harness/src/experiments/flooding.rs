@@ -15,12 +15,13 @@
 //! the retrigger-gap distribution has a heavy tail for *linear*
 //! weight regrowth, and after the first trigger LoLiPRoMi switches to
 //! exactly that linear regime for the flooded (history-resident) row.
-//! With enough seeds, LiPRoMi *and* LoLiPRoMi therefore show rare
-//! (~2–3 % per window) tail events where a gap exceeds the 842-interval
-//! flip horizon — the quantitative form of the "potential
-//! vulnerability" §IV concedes for LiPRoMi, which our measurement shows
-//! the hybrid inherits.  LoPRoMi and CaPRoMi (logarithmic regrowth)
-//! show no such events.
+//! [`tivapromi::analysis::RetriggerTail`] puts the chance that a gap
+//! exceeds the flip horizon at ≈ 2.7 % per window for LiPRoMi *and*
+//! LoLiPRoMi, against 0.14 % for logarithmic regrowth — the
+//! quantitative form of the "potential vulnerability" §IV concedes for
+//! LiPRoMi, which the analysis says the hybrid inherits.  The paper-scale
+//! run (12 seeds × 2 windows) is too short to resolve that rate; it
+//! observes no tail flips for any variant.
 
 use crate::config::{ExperimentScale, RunConfig};
 use crate::metrics::MeanStd;
@@ -153,6 +154,15 @@ pub fn render(results: &[FloodingResult]) -> String {
         ]);
     }
     table.render()
+}
+
+/// The `rh flooding` report: the first-trigger table under a title.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Flooding attack — worst-phase flood (attack starts right after the\n\
+         flooded row's refresh, where time-varying weights are smallest)\n\n{}",
+        render(&run(scale))
+    )
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@ use crate::table::TextTable;
 use crate::{parallel, scenario};
 use dram_sim::{RefreshOrder, RowAddr};
 use rh_hwmodel::Technique;
+use std::fmt::Write as _;
 
 /// The four evaluated policies, in paper order.
 pub fn policies() -> Vec<RefreshOrder> {
@@ -134,6 +135,20 @@ pub fn render(results: &[PolicyResult]) -> String {
         ]);
     }
     table.render()
+}
+
+/// The `rh refresh-policies` report: the policy grid and each
+/// variant's [`policy_spread`].
+pub fn report(scale: &ExperimentScale) -> String {
+    let results = run(scale);
+    let mut out = format!(
+        "Refresh-policy robustness — TiVaPRoMi variants × 4 policies\n\n{}\nmax overhead deviation vs. sequential baseline:\n",
+        render(&results)
+    );
+    for (t, dev) in policy_spread(&results) {
+        let _ = writeln!(out, "  {t}: {:.1}%", dev * 100.0);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -12,6 +12,14 @@ pub fn render(scale: &ExperimentScale) -> String {
     table.render()
 }
 
+/// The `rh table1` report: Table I under a title.
+pub fn report(scale: &ExperimentScale) -> String {
+    format!(
+        "Table I — simulated system specifications\n\n{}",
+        render(scale)
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,8 +18,10 @@
 //! | [`experiments::vulnerability`] | Table III "Vulnerable" column evidence |
 //! | [`experiments::ablation`] | design-choice sweeps (history size, `P_base`, lock threshold) |
 //!
-//! Each experiment has a matching binary (`cargo run --release --bin
-//! fig4_tradeoff` etc.) and a Criterion bench in the `rh-bench` crate.
+//! Every experiment, extension studies included, is an entry of
+//! [`experiments::ALL`]; the `rh` binary runs them by name (`rh fig4
+//! paper`, `rh all paper`, `rh list`).  The main ones also have a
+//! Criterion bench in the `rh-bench` crate.
 //!
 //! ## Example
 //!

@@ -1,17 +1,17 @@
-//! The `latency` binary's stdout is seeded: two runs at one scale print
-//! the same bytes, so `latency paper > results/latency.txt` is
-//! reproducible.  Its wall-clock throughput table goes to stderr.
+//! `rh latency` prints only seeded simulation results: two runs at one
+//! scale print the same bytes, so `rh latency paper > results/latency.txt`
+//! is reproducible.
 
 use std::process::{Command, Output};
 
 fn latency(scale: &str) -> Output {
-    let output = Command::new(env!("CARGO_BIN_EXE_latency"))
-        .arg(scale)
+    let output = Command::new(env!("CARGO_BIN_EXE_rh"))
+        .args(["latency", scale])
         .output()
-        .expect("latency binary runs");
+        .expect("rh binary runs");
     assert!(
         output.status.success(),
-        "latency {scale} failed: {output:?}"
+        "rh latency {scale} failed: {output:?}"
     );
     output
 }
@@ -24,5 +24,4 @@ fn latency_stdout_is_byte_identical_across_runs() {
     let stdout = String::from_utf8_lossy(&first.stdout);
     assert!(stdout.contains("mean demand latency"), "{stdout}");
     assert!(!stdout.contains("events/sec"), "{stdout}");
-    assert!(String::from_utf8_lossy(&first.stderr).contains("events/sec"));
 }
