@@ -233,10 +233,10 @@ impl DramDevice {
 
     fn run_refresh_interval(&mut self) {
         let in_window = self.interval_in_window();
-        // Collect once; the schedule is shared by all banks.
-        let rows: Vec<RowAddr> = self.schedule.rows_for_interval(in_window).to_vec();
+        // The schedule is shared by all banks.
+        let rows = self.schedule.rows_for_interval(in_window);
         for state in &mut self.banks {
-            for &row in &rows {
+            for &row in rows {
                 // Auto-refresh addresses physical rows directly.
                 state.restore(row);
             }

@@ -206,6 +206,8 @@ pub struct Attacker {
     /// Round-robin offset so the budget rotates fairly across aggressors
     /// when it does not divide evenly.
     rotation: u32,
+    /// The current interval's aggressor rows, refilled in place.
+    aggressors: Vec<RowAddr>,
 }
 
 impl Attacker {
@@ -223,32 +225,50 @@ impl Attacker {
             config.acts_per_interval > 0,
             "attack budget must be nonzero"
         );
+        // The most aggressors any interval holds, so refilling the list
+        // never grows it mid-run.
+        let most = match config.kind {
+            AttackKind::DecoyAssisted { decoys, .. } => 2 + decoys,
+            AttackKind::MultiAggressorRamp { max_aggressors, .. }
+            | AttackKind::PhaseShifted { max_aggressors, .. } => max_aggressors.max(1),
+            AttackKind::RefreshSyncBurst { pairs, .. } => pairs.max(1),
+            _ => 2,
+        };
         Attacker {
             config,
             interval: 0,
             rotation: 0,
+            aggressors: Vec::with_capacity(most as usize),
         }
     }
 
     /// The aggressor rows active at `interval`.
     pub fn aggressors_at(&self, interval: u64) -> Vec<RowAddr> {
+        let mut rows = Vec::new();
+        self.fill_aggressors(interval, &mut rows);
+        rows
+    }
+
+    /// Replaces the contents of `out` with the aggressor rows active at
+    /// `interval`; a reused `out` does not allocate once warm.
+    fn fill_aggressors(&self, interval: u64, out: &mut Vec<RowAddr>) {
+        out.clear();
         match self.config.kind {
-            AttackKind::SingleSided { aggressor } => vec![aggressor],
+            AttackKind::SingleSided { aggressor } => out.push(aggressor),
             AttackKind::DoubleSided { victim } => {
-                vec![RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)]
+                out.extend([RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)]);
             }
-            AttackKind::Flooding { row } => vec![row],
+            AttackKind::Flooding { row } => out.push(row),
             AttackKind::DecoyAssisted { victim, decoys } => {
-                let mut rows = vec![RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)];
-                rows.extend((0..decoys).map(|d| RowAddr(victim.0 + 10_000 + 2 * d)));
-                rows
+                out.extend([RowAddr(victim.0.saturating_sub(1)), RowAddr(victim.0 + 1)]);
+                out.extend((0..decoys).map(|d| RowAddr(victim.0 + 10_000 + 2 * d)));
             }
             AttackKind::MultiAggressorRamp {
                 base_row,
                 max_aggressors,
             } => {
                 let k = self.ramp_count(interval, max_aggressors);
-                (0..k.max(1)).map(|j| RowAddr(base_row.0 + 2 * j)).collect()
+                out.extend((0..k.max(1)).map(|j| RowAddr(base_row.0 + 2 * j)));
             }
             AttackKind::PhaseShifted {
                 base_row,
@@ -263,7 +283,7 @@ impl Attacker {
                 };
                 let slot = u32::try_from(slot).expect("slot index below PHASE_SHIFT_SLOTS");
                 let base = base_row.0 + slot * 2 * max_aggressors;
-                (0..k.max(1)).map(|j| RowAddr(base + 2 * j)).collect()
+                out.extend((0..k.max(1)).map(|j| RowAddr(base + 2 * j)));
             }
             AttackKind::ProfilingSweep {
                 base_row,
@@ -275,7 +295,7 @@ impl Attacker {
                 let offset = u32::try_from(step % u64::from(span_rows.max(1)))
                     .expect("offset is below span_rows");
                 let victim = base_row.0 + offset;
-                vec![RowAddr(victim.saturating_sub(1)), RowAddr(victim + 1)]
+                out.extend([RowAddr(victim.saturating_sub(1)), RowAddr(victim + 1)]);
             }
             AttackKind::RefreshSyncBurst {
                 base_row,
@@ -290,11 +310,7 @@ impl Attacker {
                     p => (elapsed + p - phase % p) % p < duty_intervals,
                 };
                 if active {
-                    (0..pairs.max(1))
-                        .map(|j| RowAddr(base_row.0 + 2 * j))
-                        .collect()
-                } else {
-                    Vec::new()
+                    out.extend((0..pairs.max(1)).map(|j| RowAddr(base_row.0 + 2 * j)));
                 }
             }
         }
@@ -404,7 +420,8 @@ impl TraceSource for Attacker {
             return false;
         }
         if self.interval >= self.config.start_interval {
-            let aggressors = self.aggressors_at(self.interval);
+            let mut aggressors = std::mem::take(&mut self.aggressors);
+            self.fill_aggressors(self.interval, &mut aggressors);
             let n = u32::try_from(aggressors.len()).expect("aggressor count fits u32");
             // An empty set (a burst pattern off-duty) emits nothing and
             // leaves the rotation untouched.
@@ -417,6 +434,7 @@ impl TraceSource for Attacker {
                 }
                 self.rotation = (self.rotation + self.config.acts_per_interval) % n;
             }
+            self.aggressors = aggressors;
         }
         self.interval += 1;
         true

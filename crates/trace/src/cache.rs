@@ -49,6 +49,14 @@ impl CacheConfig {
 
 /// An LRU set-associative cache over line addresses.
 ///
+/// The tags live in one flat array, `ways` slots per set, most recently
+/// used first, with a fill count per set.  A hit rotates the line to
+/// the front of its set, a miss shifts the set down one slot (dropping
+/// the least recently used line when the set is full), and a flush
+/// closes the gap — the LRU order of a per-set stack, with no per-set
+/// allocation and, for a power-of-two set count (every shipped
+/// geometry), a mask instead of a division to find the set.
+///
 /// ```
 /// use mem_trace::cache::{Cache, CacheConfig};
 ///
@@ -61,8 +69,16 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per-set tag stacks, most recently used first.
-    sets: Vec<Vec<u64>>,
+    /// `ways` tag slots per set; the first `fill[set]` hold the set's
+    /// lines, most recently used first.
+    tags: Vec<u64>,
+    /// Lines held per set.
+    fill: Vec<u32>,
+    ways: usize,
+    sets: u64,
+    /// `sets - 1` when the set count is a power of two, so the set
+    /// index is a mask; `None` falls back to `%`.
+    set_mask: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -76,48 +92,89 @@ impl Cache {
     /// capacity that is not a multiple of `line_bytes × ways`).
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.ways > 0 && config.line_bytes > 0, "degenerate cache");
-        assert!(config.sets() > 0, "cache smaller than one set");
+        let sets = config.sets();
+        assert!(sets > 0, "cache smaller than one set");
+        let ways = config.ways as usize;
         Cache {
-            sets: vec![Vec::with_capacity(config.ways as usize); config.sets() as usize],
             config,
+            tags: vec![0; sets as usize * ways],
+            fill: vec![0; sets as usize],
+            ways,
+            sets: u64::from(sets),
+            set_mask: sets.is_power_of_two().then(|| u64::from(sets) - 1),
             hits: 0,
             misses: 0,
         }
     }
 
-    // Reduced modulo the set count, which itself came from a usize.
+    // Reduced below the set count, a u32.
     #[allow(clippy::cast_possible_truncation)]
+    #[inline]
     fn set_index(&self, line: u64) -> usize {
-        (line % u64::from(self.config.sets())) as usize
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.sets) as usize,
+        }
+    }
+
+    /// The set `line` maps to: its index and its held lines, most
+    /// recently used first.
+    #[inline]
+    fn set_of(&self, line: u64) -> (usize, &[u64]) {
+        let set = self.set_index(line);
+        let base = set * self.ways;
+        (set, &self.tags[base..base + self.fill[set] as usize])
     }
 
     /// Accesses `line`; returns `true` on a hit.  Misses insert the line
     /// (LRU eviction).
+    #[inline]
     pub fn access(&mut self, line: u64) -> bool {
         let set = self.set_index(line);
-        let stack = &mut self.sets[set];
-        if let Some(pos) = stack.iter().position(|&t| t == line) {
-            stack.remove(pos);
-            stack.insert(0, line);
-            self.hits += 1;
-            true
-        } else {
-            stack.insert(0, line);
-            stack.truncate(self.config.ways as usize);
-            self.misses += 1;
-            false
+        let base = set * self.ways;
+        let held = self.fill[set] as usize;
+        let stack = &mut self.tags[base..base + self.ways];
+        let hit = stack[..held].iter().position(|&t| t == line);
+        // The line moves to the front and every line before its old slot
+        // (on a miss: before the first free or the evicted slot) moves
+        // back one.
+        let end = match hit {
+            Some(pos) => {
+                self.hits += 1;
+                pos
+            }
+            None => {
+                self.misses += 1;
+                if held < self.ways {
+                    self.fill[set] += 1;
+                }
+                held.min(self.ways - 1)
+            }
+        };
+        let mut carry = line;
+        for slot in &mut stack[..=end] {
+            carry = std::mem::replace(slot, carry);
         }
+        hit.is_some()
     }
 
     /// Probes without updating recency or statistics.
     pub fn contains(&self, line: u64) -> bool {
-        self.sets[self.set_index(line)].contains(&line)
+        self.set_of(line).1.contains(&line)
     }
 
     /// Removes `line` (the attacker's `CLFLUSH`).
+    #[inline]
     pub fn flush(&mut self, line: u64) {
-        let set = self.set_index(line);
-        self.sets[set].retain(|&t| t != line);
+        let (set, held) = self.set_of(line);
+        // A set never holds a line twice: only misses insert.
+        if let Some(pos) = held.iter().position(|&t| t == line) {
+            let base = set * self.ways;
+            let end = held.len();
+            self.tags
+                .copy_within(base + pos + 1..base + end, base + pos);
+            self.fill[set] -= 1;
+        }
     }
 
     /// Hits observed.

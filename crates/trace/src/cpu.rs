@@ -13,6 +13,7 @@
 //! with a small set of high-activation-rate rows (streaming arrays,
 //! cache-thrashing working sets), plus full-rate aggressor rows.
 
+use crate::batch::EventBatch;
 use crate::cache::CacheHierarchy;
 use crate::event::{ShardError, TraceEvent, TraceSource};
 use crate::zipf::Zipf;
@@ -103,13 +104,25 @@ impl CpuWorkloadConfig {
     }
 }
 
+/// How a core picks its next line, resolved once at construction so the
+/// per-access loop never re-checks a core's behaviour.
+#[derive(Debug)]
+enum Pattern {
+    /// Zipf-ranked lines above the core's base line.
+    WorkingSet(Zipf),
+    /// The next line of a `length`-line array, wrapping.
+    Streaming { length: u64 },
+    /// Line 0 of aggressor row `base_row + 2k` in bank 0, flushed first,
+    /// round-robin over `rows` rows.
+    Attacker { rows: u64, base_row: u64 },
+}
+
 /// Per-core runtime state.
 #[derive(Debug)]
 struct CoreState {
-    behavior: CoreBehavior,
+    pattern: Pattern,
     hierarchy: CacheHierarchy,
-    zipf: Option<Zipf>,
-    /// Working-set base line / streaming cursor / attacker rotation.
+    /// Streaming cursor / attacker rotation.
     cursor: u64,
     base_line: u64,
 }
@@ -141,7 +154,8 @@ impl CpuWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if there are no cores or the geometry is degenerate.
+    /// Panics if there are no cores, the geometry is degenerate, or a
+    /// working-set or streaming core covers no lines.
     pub fn new(config: CpuWorkloadConfig, seed: u64) -> Self {
         assert!(!config.cores.is_empty(), "need at least one core");
         assert!(config.banks > 0 && config.rows_per_bank > 0 && config.lines_per_row > 0);
@@ -152,21 +166,29 @@ impl CpuWorkload {
         let cores = config
             .cores
             .iter()
-            .map(|&behavior| {
-                let zipf = match behavior {
+            .map(|&behavior| CoreState {
+                pattern: match behavior {
                     CoreBehavior::WorkingSet {
                         lines,
                         zipf_exponent,
-                    } => Some(Zipf::new(lines as usize, zipf_exponent)),
-                    _ => None,
-                };
-                CoreState {
-                    behavior,
-                    hierarchy: CacheHierarchy::paper(),
-                    zipf,
-                    cursor: 0,
-                    base_line: rng.random_range(0..total_lines / 2),
-                }
+                    } => Pattern::WorkingSet(Zipf::new(lines as usize, zipf_exponent)),
+                    CoreBehavior::Streaming { length_lines } => {
+                        assert!(length_lines > 0, "streaming core needs a nonempty array");
+                        Pattern::Streaming {
+                            length: u64::from(length_lines),
+                        }
+                    }
+                    CoreBehavior::Attacker {
+                        aggressor_rows,
+                        base_row,
+                    } => Pattern::Attacker {
+                        rows: u64::from(aggressor_rows.max(1)),
+                        base_row: u64::from(base_row),
+                    },
+                },
+                hierarchy: CacheHierarchy::paper(),
+                cursor: 0,
+                base_line: rng.random_range(0..total_lines / 2),
             })
             .collect();
         CpuWorkload {
@@ -179,14 +201,67 @@ impl CpuWorkload {
 
     /// Maps a global line address to `(bank, row)`: lines interleave
     /// across banks, then fill rows.
-    // Both quantities are reduced modulo a u32 bound, so they fit u32.
-    #[allow(clippy::cast_possible_truncation)]
     pub fn decode(&self, line: u64) -> (BankId, RowAddr) {
-        let banks = u64::from(self.config.banks);
-        let bank = (line % banks) as u32;
-        let row = ((line / banks) / u64::from(self.config.lines_per_row))
-            % u64::from(self.config.rows_per_bank);
-        (BankId(bank), RowAddr(row as u32))
+        decode_line(&self.config, line)
+    }
+
+    /// Runs one refresh interval of every core, in core order, handing
+    /// each DRAM activation to `emit`.  Returns `false` (emitting
+    /// nothing) once the configured intervals are done.
+    #[inline]
+    fn run_interval(&mut self, mut emit: impl FnMut(BankId, RowAddr, bool)) -> bool {
+        if self.interval >= self.config.intervals {
+            return false;
+        }
+        let config = &self.config;
+        let rng = &mut self.rng;
+        let per_core = config.accesses_per_core_interval;
+        for core in &mut self.cores {
+            let hierarchy = &mut core.hierarchy;
+            match &core.pattern {
+                Pattern::WorkingSet(zipf) => {
+                    for _ in 0..per_core {
+                        let line = core.base_line + zipf.sample(rng) as u64;
+                        if hierarchy.access_misses_to_dram(line) {
+                            let (bank, row) = decode_line(config, line);
+                            emit(bank, row, false);
+                        }
+                    }
+                }
+                &Pattern::Streaming { length } => {
+                    for _ in 0..per_core {
+                        let line = core.base_line + core.cursor;
+                        core.cursor += 1;
+                        if core.cursor == length {
+                            core.cursor = 0;
+                        }
+                        if hierarchy.access_misses_to_dram(line) {
+                            let (bank, row) = decode_line(config, line);
+                            emit(bank, row, false);
+                        }
+                    }
+                }
+                &Pattern::Attacker { rows, base_row } => {
+                    let lines_per_row = u64::from(config.lines_per_row);
+                    let banks = u64::from(config.banks);
+                    for _ in 0..per_core {
+                        // Round-robin over aggressor rows; CLFLUSH makes
+                        // every access a DRAM activation.
+                        let row = base_row + 2 * (core.cursor % rows);
+                        core.cursor += 1;
+                        // Line 0 of the row in bank 0.
+                        let line = row * lines_per_row * banks;
+                        hierarchy.flush(line);
+                        if hierarchy.access_misses_to_dram(line) {
+                            let (bank, row) = decode_line(config, line);
+                            emit(bank, row, true);
+                        }
+                    }
+                }
+            }
+        }
+        self.interval += 1;
+        true
     }
 
     /// Per-core cache filtering: fraction of core `index`'s accesses
@@ -206,7 +281,7 @@ impl CpuWorkload {
         let mut to_dram = 0u64;
         let mut total = 0u64;
         for core in &self.cores {
-            if matches!(core.behavior, CoreBehavior::Attacker { .. }) {
+            if matches!(core.pattern, Pattern::Attacker { .. }) {
                 continue;
             }
             to_dram += core.hierarchy.l2().misses();
@@ -218,6 +293,17 @@ impl CpuWorkload {
             to_dram as f64 / total as f64
         }
     }
+}
+
+/// [`CpuWorkload::decode`] on the geometry of `config`.
+// Both quantities are reduced modulo a u32 bound, so they fit u32.
+#[allow(clippy::cast_possible_truncation)]
+#[inline]
+fn decode_line(config: &CpuWorkloadConfig, line: u64) -> (BankId, RowAddr) {
+    let banks = u64::from(config.banks);
+    let bank = (line % banks) as u32;
+    let row = ((line / banks) / u64::from(config.lines_per_row)) % u64::from(config.rows_per_bank);
+    (BankId(bank), RowAddr(row as u32))
 }
 
 impl TraceSource for CpuWorkload {
@@ -235,60 +321,29 @@ impl TraceSource for CpuWorkload {
     }
 
     fn next_interval(&mut self, out: &mut Vec<TraceEvent>) -> bool {
-        if self.interval >= self.config.intervals {
-            return false;
-        }
-        let per_core = self.config.accesses_per_core_interval;
-        let lines_per_row = u64::from(self.config.lines_per_row);
-        let banks = u64::from(self.config.banks);
-        for core_idx in 0..self.cores.len() {
-            for _ in 0..per_core {
-                let core = &mut self.cores[core_idx];
-                let (line, aggressor) = match core.behavior {
-                    CoreBehavior::WorkingSet { .. } => {
-                        let rank = core
-                            .zipf
-                            .as_ref()
-                            .expect("working-set core has a zipf")
-                            .sample(&mut self.rng) as u64;
-                        (core.base_line + rank, false)
-                    }
-                    CoreBehavior::Streaming { length_lines } => {
-                        let line = core.base_line + core.cursor;
-                        core.cursor = (core.cursor + 1) % u64::from(length_lines);
-                        (line, false)
-                    }
-                    CoreBehavior::Attacker {
-                        aggressor_rows,
-                        base_row,
-                    } => {
-                        // Round-robin over aggressor rows; CLFLUSH makes
-                        // every access a DRAM activation.
-                        let k = core.cursor % u64::from(aggressor_rows.max(1));
-                        core.cursor += 1;
-                        let row = u64::from(base_row) + 2 * k;
-                        // Line 0 of the row in bank 0.
-                        let line = row * lines_per_row * banks;
-                        core.hierarchy.flush(line);
-                        (line, true)
-                    }
-                };
-                let to_dram = {
-                    let core = &mut self.cores[core_idx];
-                    core.hierarchy.access_misses_to_dram(line)
-                };
-                if to_dram {
-                    let (bank, row) = self.decode(line);
-                    out.push(TraceEvent {
-                        bank,
-                        row,
-                        aggressor,
-                    });
-                }
+        self.run_interval(|bank, row, aggressor| {
+            out.push(TraceEvent {
+                bank,
+                row,
+                aggressor,
+            });
+        })
+    }
+
+    fn next_batch(&mut self, batch: &mut EventBatch, max_intervals: u64) -> bool {
+        // The default shim's interval count, with each interval's events
+        // written straight into the columns.
+        batch.clear();
+        let cap = max_intervals.min(batch.target_events() as u64);
+        let mut delivered = 0u64;
+        while delivered < cap && !batch.is_full() {
+            if !self.run_interval(|bank, row, aggressor| batch.push_event(bank, row, aggressor)) {
+                break;
             }
+            batch.end_interval();
+            delivered += 1;
         }
-        self.interval += 1;
-        true
+        delivered > 0
     }
 
     fn intervals_hint(&self) -> Option<u64> {

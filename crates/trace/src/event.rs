@@ -141,9 +141,10 @@ pub trait TraceSource {
     /// the trace is exhausted (no interval delivered).
     ///
     /// The default implementation is a one-interval-at-a-time shim over
-    /// [`TraceSource::next_interval`], so every existing source —
-    /// including externally-driven ones like `CpuWorkload` — batches
-    /// without changes.  The number of intervals per fill is bounded by
+    /// [`TraceSource::next_interval`], so every source batches without
+    /// changes; sources whose delivery can skip the staging copy
+    /// (`MixedTrace`, `CpuWorkload`, `ReplayTrace`, `IdleTrace`)
+    /// override it.  The number of intervals per fill is bounded by
     /// `max_intervals`, by [`TraceSource::max_batch_intervals`], and by
     /// the batch's event target (so sparse traces cannot grow the
     /// boundary list without bound).

@@ -78,13 +78,6 @@ impl WorkloadConfig {
         self.mean_acts_per_interval = mean;
         self
     }
-
-    /// Returns a copy with different locality parameters (ablation).
-    pub fn with_locality(mut self, locality: f64, zipf_exponent: f64) -> Self {
-        self.locality = locality;
-        self.zipf_exponent = zipf_exponent;
-        self
-    }
 }
 
 /// Per-bank generator state: each bank owns its working set *and* its
@@ -102,7 +95,8 @@ struct BankState {
 impl BankState {
     fn new(config: &WorkloadConfig, seed: u64, id: BankId) -> Self {
         let mut rng = StdRng::seed_from_u64(bank_seed(seed, id));
-        let hot_set = SpecLikeWorkload::draw_hot_set(config, &mut rng);
+        let mut hot_set = Vec::with_capacity(config.hot_rows);
+        SpecLikeWorkload::draw_hot_set(config, &mut rng, &mut hot_set);
         BankState { id, hot_set, rng }
     }
 }
@@ -125,7 +119,8 @@ impl SpecLikeWorkload {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero banks or rows,
-    /// `hot_rows` of zero, or a locality outside `[0, 1]`).
+    /// `hot_rows` of zero or too many to place apart — more than
+    /// `(rows_per_bank + 2) / 3` — or a locality outside `[0, 1]`).
     pub fn new(config: WorkloadConfig, seed: u64) -> Self {
         Self::validate(&config);
         let banks = (0..config.banks)
@@ -146,25 +141,32 @@ impl SpecLikeWorkload {
             "empty geometry"
         );
         assert!(config.hot_rows > 0, "hot set must be nonempty");
+        // Each placed hot row rules out itself and its two neighbours.
+        // Greedy placement never backtracks, so it is sure to finish
+        // only when at least `3·hot_rows − 2` rows exist.
+        assert!(
+            (config.hot_rows as u64).saturating_mul(3) - 2 <= u64::from(config.rows_per_bank),
+            "hot set does not fit the bank with its rows kept apart"
+        );
         assert!(
             (0.0..=1.0).contains(&config.locality),
             "locality must be a probability"
         );
     }
 
-    fn draw_hot_set(config: &WorkloadConfig, rng: &mut StdRng) -> Vec<RowAddr> {
+    /// Draws a fresh hot set into `set`, reusing its storage.
+    fn draw_hot_set(config: &WorkloadConfig, rng: &mut StdRng, set: &mut Vec<RowAddr>) {
         // Hot rows are distinct and non-adjacent: they model different
         // hot pages, and two adjacent hot rows would double-disturb the
         // row between them — benign traffic alone must never approach
         // the flip threshold.
-        let mut set: Vec<RowAddr> = Vec::with_capacity(config.hot_rows);
+        set.clear();
         while set.len() < config.hot_rows {
             let candidate = RowAddr(rng.random_range(0..config.rows_per_bank));
             if set.iter().all(|r| r.0.abs_diff(candidate.0) > 1) {
                 set.push(candidate);
             }
         }
-        set
     }
 
     /// Draws a Poisson count with the configured mean (Knuth's method —
@@ -218,7 +220,7 @@ impl TraceSource for SpecLikeWorkload {
         for bank in &mut self.banks {
             // Phase boundary: re-draw this bank's working set.
             if redraw {
-                bank.hot_set = Self::draw_hot_set(&self.config, &mut bank.rng);
+                Self::draw_hot_set(&self.config, &mut bank.rng, &mut bank.hot_set);
             }
             let n = Self::poisson(&self.config, &mut bank.rng);
             for _ in 0..n {
@@ -245,7 +247,7 @@ impl TraceSplit for SpecLikeWorkload {
     fn bank_shard(&self, bank: BankId) -> Box<dyn TraceSplit> {
         if self.banks.iter().any(|b| b.id == bank) {
             Box::new(SpecLikeWorkload {
-                zipf: Zipf::new(self.config.hot_rows, self.config.zipf_exponent),
+                zipf: self.zipf.clone(),
                 config: self.config,
                 banks: vec![BankState::new(&self.config, self.seed, bank)],
                 seed: self.seed,
@@ -349,6 +351,40 @@ mod tests {
             w.next_interval(&mut out);
         }
         assert_ne!(before, w.hot_set(BankId(0)));
+    }
+
+    #[test]
+    fn hot_set_fills_the_tightest_bank() {
+        // 4 rows always hold 2 hot rows apart, whichever row is drawn
+        // first; every seed must finish.
+        let cfg = WorkloadConfig {
+            banks: 1,
+            rows_per_bank: 4,
+            hot_rows: 2,
+            ..config()
+        };
+        for seed in 0..64 {
+            let w = SpecLikeWorkload::new(cfg, seed);
+            let hot = w.hot_set(BankId(0));
+            assert!(hot[0].0.abs_diff(hot[1].0) > 1, "{hot:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rows kept apart")]
+    fn hot_set_that_cannot_be_placed_is_rejected() {
+        // Two non-adjacent rows do not fit a 2-row bank, so greedy
+        // placement would loop forever.  (A 3-row bank fits them, but
+        // only as rows 0 and 2: a first draw of row 1 would hang too.)
+        let _ = SpecLikeWorkload::new(
+            WorkloadConfig {
+                banks: 1,
+                rows_per_bank: 2,
+                hot_rows: 2,
+                ..config()
+            },
+            1,
+        );
     }
 
     #[test]

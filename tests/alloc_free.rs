@@ -25,16 +25,23 @@
 //! a fixed number of allocations whatever the recording's length, a
 //! shard drains into a warm `EventBatch` without allocating, and a warm
 //! `MixedTrace` merges intervals without allocating.
+//!
+//! Synthesis and the exact device keep it too: a warm bank shard of the
+//! paper mix drains across a phase boundary (where the SPEC-like
+//! workload redraws its hot set) without allocating, so does a warm
+//! `CpuWorkload` batch, and a warm exact-tier device turns a whole
+//! refresh window over without touching the heap.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use dram_sim::{BankId, Geometry, RowAddr};
-use tivapromi_suite::harness::{techniques, ExperimentScale, RunConfig};
+use dram_sim::{BankId, Command, Geometry, RowAddr};
+use tivapromi_suite::harness::{scenario, techniques, ExperimentScale, RunConfig};
 use tivapromi_suite::hwmodel::Technique;
 use tivapromi_suite::tivapromi::{ActionSink, Mitigation};
 use tivapromi_suite::trace::{
-    EventBatch, MixedTrace, ReplayTrace, TraceEvent, TraceSource, TraceSplit,
+    CpuWorkload, CpuWorkloadConfig, EventBatch, MixedTrace, ReplayTrace, TraceEvent, TraceSource,
+    TraceSplit, WorkloadConfig,
 };
 
 /// Counts every allocation and reallocation made by the measuring
@@ -260,4 +267,95 @@ fn warm_replay_and_mix_delivery_never_allocate() {
     assert_eq!(delivered, 248);
     assert!(mix.dropped() > 0, "the cap never bound");
     assert_eq!(allocations, 0, "warm MixedTrace::next_interval allocated");
+}
+
+/// Drains `source` batch by batch until at least `intervals` intervals
+/// have been delivered (or it ends); returns the intervals delivered.
+fn drain_intervals(source: &mut dyn TraceSource, batch: &mut EventBatch, intervals: u64) -> u64 {
+    let mut delivered = 0;
+    while delivered < intervals && source.next_batch(batch, u64::MAX) {
+        delivered += batch.intervals() as u64;
+    }
+    delivered
+}
+
+/// A paper-mix bank shard — SPEC-like benign traffic plus the ramping
+/// attacker — drains through a phase boundary without allocating: the
+/// hot-set redraw refills the bank's set in place and the attacker
+/// refills its aggressor list in place, sized once at construction.
+#[test]
+fn warm_paper_mix_shard_drains_across_a_phase_boundary_without_allocating() {
+    let config = config();
+    let phase = WorkloadConfig::paper(&config.geometry).phase_intervals;
+    assert!(
+        config.intervals() > phase + 64,
+        "the run must outlast the first phase"
+    );
+    let mix = scenario::paper_mix(&config, 5);
+    let mut batch = EventBatch::new();
+    for bank in 0..BANKS {
+        let mut shard = mix.bank_shard(BankId(bank));
+        // Warm-up: most of the first phase, which sizes every buffer.
+        let warm = drain_intervals(&mut shard, &mut batch, phase - 64);
+        let (rest, allocations) = counting(|| drain_intervals(&mut shard, &mut batch, u64::MAX));
+        assert!(
+            warm < phase && warm + rest > phase,
+            "bank {bank}: the measured drain ({warm}..{}) misses the boundary at {phase}",
+            warm + rest
+        );
+        assert_eq!(
+            allocations, 0,
+            "bank {bank} paper-mix shard drain allocated"
+        );
+    }
+}
+
+/// The CPU/cache model's native batch path writes straight into a warm
+/// batch without allocating.
+#[test]
+fn warm_cpu_workload_batches_never_allocate() {
+    let config = config();
+    let mut cpu = CpuWorkload::new(
+        CpuWorkloadConfig::paper(&config.geometry, config.intervals()),
+        7,
+    );
+    let mut batch = EventBatch::new();
+    let warm = drain_intervals(&mut cpu, &mut batch, config.intervals() / 2);
+    let (rest, allocations) = counting(|| drain_intervals(&mut cpu, &mut batch, u64::MAX));
+    assert!(warm > 0 && rest > 0);
+    assert_eq!(allocations, 0, "warm CpuWorkload::next_batch allocated");
+}
+
+/// A warm exact-tier device applies a window of workload activations,
+/// mitigation commands and refresh intervals without allocating.
+#[test]
+fn warm_exact_device_window_never_allocates() {
+    let config = config();
+    let mut device = config.build_device();
+    let events = interval_events();
+    let window = |device: &mut dram_sim::DramDevice| {
+        for _ in 0..config.geometry.intervals_per_window() {
+            for (i, e) in events.iter().enumerate() {
+                device.apply(Command::Activate {
+                    bank: e.bank,
+                    row: e.row,
+                });
+                if i % 40 == 0 {
+                    device.apply(Command::ActivateNeighbors {
+                        bank: e.bank,
+                        row: e.row,
+                    });
+                    device.apply(Command::RefreshRow {
+                        bank: e.bank,
+                        row: e.row,
+                    });
+                }
+            }
+            device.apply(Command::Refresh);
+        }
+    };
+    window(&mut device);
+    let ((), allocations) = counting(|| window(&mut device));
+    assert!(device.flips().is_empty(), "the window must not flip");
+    assert_eq!(allocations, 0, "a warm exact-device window allocated");
 }
